@@ -1,10 +1,11 @@
-"""Hard per-author load caps: where one-pass heuristics break and flow wins.
+"""Hard per-author load caps: where one-pass heuristics break and the exact solver wins.
 
 Capping how many papers may nominate the same author turns the problem into
 a constrained assignment.  Committing paper by paper can paint you into a
-corner even when a feasible assignment exists; the min-cost circulation
-solver never falls into that trap and certifies infeasibility when the cap
-genuinely cannot be met.
+corner even when a feasible assignment exists.  The exact solver instead
+hands out author nomination slots cheapest first, moving earlier papers to
+other co-authors whenever that makes room, so it never falls into that trap
+and certifies infeasibility when the cap genuinely cannot be met.
 """
 
 from deskrisk import (
@@ -31,7 +32,7 @@ result = greedy_assign_hard(skewed, b=1)
 print(f"  greedy baseline on p=[0.1, 0.9]: nominees {result.assignment.nominee}, err={result.err}")
 
 assignment, report = solve_hard(skewed, b=1)
-print(f"  flow solver: nominees {assignment.nominee}, objective {report.objective:.2f}")
+print(f"  exact solver: nominees {assignment.nominee}, objective {report.objective:.2f}")
 
 # Infeasibility is a real outcome, not a corner case: an author with five
 # single-authored papers cannot stay within a cap of two.
@@ -40,7 +41,7 @@ assignment, report = solve_hard(overloaded, b=2)
 print(f"\nfive single-authored papers, cap 2: status = {report.status.value}")
 assert assignment is None
 
-# With a generous cap the constraint stops binding and the flow optimum
+# With a generous cap the constraint stops binding and the exact optimum
 # coincides with the unconstrained greedy answer.
 assignment, report = solve_hard(overloaded, b=5)
 print(f"same instance, cap 5: objective {report.objective:.2f} (all five on the only author)")

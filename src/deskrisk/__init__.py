@@ -5,11 +5,14 @@ Three problem variants over the same instance data:
 * basic: nominate one co-author per paper, minimize the expected number of
   desk-rejected papers (:func:`greedy_assign_basic` is exact);
 * hard limit: additionally cap how many papers may nominate one author
-  (:func:`solve_hard` via min-cost circulation is exact and integral, and
-  reports infeasibility when the cap cannot be met);
+  (:func:`solve_hard` is exact and integral, and reports infeasibility when
+  the cap cannot be met);
 * soft limit: replace the cap with a per-overload penalty
   (:func:`solve_soft` relaxes and rounds, :func:`solve_soft_exact` is the
   integral optimum).
+
+Both exact solvers run one author-slot greedy (:func:`min_cost_circulation`)
+on an assignment network; see :mod:`deskrisk.flow` for why it is exact.
 
 Brute-force oracles and the one-pass baselines live alongside the real
 solvers so every answer can be cross-checked on small instances.
@@ -28,6 +31,7 @@ from .flow import (
     FlowNetwork,
     MalformedNetworkError,
     build_hard_network,
+    build_soft_network,
     check_circulation,
     min_cost_circulation,
     solve_hard,
@@ -57,7 +61,7 @@ from .io import (
     save_assignment,
     save_instance,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, build_hard_lp, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, build_hard_lp, build_soft_lp, solve_lp
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationLimitError,
@@ -67,14 +71,7 @@ from .oracle import (
     oracle_hard,
     oracle_soft,
 )
-from .soft import (
-    build_soft_lp,
-    build_soft_network,
-    round_soft,
-    solve_soft,
-    solve_soft_exact,
-    solve_soft_relaxed,
-)
+from .soft import round_soft, solve_soft, solve_soft_exact, solve_soft_relaxed
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .instance import Assignment, Instance, require_valid
+from .instance import Assignment, Instance, require_valid, resolve_limits
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ def _chooser(seed: int | None) -> Callable[[list[int]], int]:
     return lambda candidates: candidates[rng.randrange(len(candidates))]
 
 
-def _hard_limit(instance: Instance, b: int | None) -> int:
-    if b is None:
-        b = instance.b
-    if b is None or b < 1:
-        raise ValueError(f"baseline requires a nomination limit b >= 1, got {b}")
-    return b
-
-
 def rand_assign_hard(
     instance: Instance, b: int | None = None, seed: int | None = None
 ) -> BaselineResult:
@@ -56,7 +48,7 @@ def rand_assign_hard(
     raises the error flag.
     """
     require_valid(instance)
-    b = _hard_limit(instance, b)
+    b, _ = resolve_limits(instance, b)
     choose = _chooser(seed)
     loads = [0] * instance.m
     nominee: list[int] = []
@@ -78,7 +70,7 @@ def greedy_assign_hard(
 ) -> BaselineResult:
     """Pick a least-irresponsible under-limit author per paper, in paper order."""
     require_valid(instance)
-    b = _hard_limit(instance, b)
+    b, _ = resolve_limits(instance, b)
     choose = _chooser(seed)
     p = instance.p
     loads = [0] * instance.m
@@ -106,7 +98,7 @@ def rand_assign_soft(
     of the objective instead of an error flag.
     """
     require_valid(instance)
-    b = _hard_limit(instance, b)
+    b, _ = resolve_limits(instance, b)
     choose = _chooser(seed)
     loads = [0] * instance.m
     nominee: list[int] = []
@@ -131,11 +123,7 @@ def greedy_assign_soft(
     penalty increase if the pick pushes the author past the limit.
     """
     require_valid(instance)
-    b = _hard_limit(instance, b)
-    if lam is None:
-        lam = instance.lam
-    if lam is None or not lam > 0.0:
-        raise ValueError(f"soft greedy baseline requires lambda > 0, got {lam}")
+    b, lam = resolve_limits(instance, b, lam, soft=True)
     choose = _chooser(seed)
     p = instance.p
     loads = [0] * instance.m

@@ -2,37 +2,34 @@
 
 Subcommands: ``validate``, ``gen``, ``solve``, ``oracle``, ``import-csv``.
 Exit codes are a stable contract: 0 solved/valid, 2 infeasible, 1 input
-error (bad file, bad flags, invalid instance).  Reports are SolveReport
-JSON, written to stdout or to ``-o``, and always carry the nominee vector
-when a solution exists so objectives can be re-derived from the instance
-alone.
+or solver error (bad file, bad flags, invalid instance, failed backend).
+Reports are SolveReport JSON, written to stdout or to ``-o``, and always
+carry the nominee vector when a solution exists so objectives can be
+re-derived from the instance alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Any
 
 from .baselines import greedy_assign_hard, greedy_assign_soft, rand_assign_hard, rand_assign_soft
-from .flow import FlowNetwork, build_hard_network, solve_hard
+from .flow import FlowNetwork, build_hard_network, build_soft_network, solve_hard
 from .generate import GeneratorSpec, generate
 from .greedy import greedy_assign_basic
 from .instance import (
     Assignment,
     Instance,
-    InvalidAssignmentError,
-    InvalidInstanceError,
     SolveReport,
     SolveStatus,
-    author_loads,
-    basic_objective,
+    assignment_from_pairs,
+    report_for,
     require_valid,
-    soft_objective,
     validate,
 )
 from .io import (
-    FormatError,
     dumps,
     instance_to_dict,
     load_instance,
@@ -40,15 +37,9 @@ from .io import (
     report_to_dict,
     save_instance,
 )
-from .lp import LinearProgram, LpStatus, build_hard_lp, solve_lp
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationLimitError,
-    oracle_basic,
-    oracle_hard,
-    oracle_soft,
-)
-from .soft import build_soft_lp, build_soft_network, solve_soft, solve_soft_exact
+from .lp import LinearProgram, LpStatus, build_hard_lp, build_soft_lp, solve_lp
+from .oracle import DEFAULT_ENUMERATION_CAP, oracle_basic, oracle_hard, oracle_soft
+from .soft import solve_soft, solve_soft_exact
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -75,14 +66,9 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         return args.handler(args)
-    except (
-        FormatError,
-        InvalidInstanceError,
-        InvalidAssignmentError,
-        EnumerationLimitError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # Input errors are ValueErrors; the oracle's enumeration cap and a
+        # backend answer the soft solvers refuse to trust are RuntimeErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -123,7 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="brute-force the exact optimum (small instances)")
     _add_solve_args(p_oracle)
-    p_oracle.set_defaults(handler=_cmd_oracle)
+    p_oracle.set_defaults(
+        handler=_cmd_solve, algorithm="oracle", seed=None, dump_network=None, dump_lp=None
+    )
 
     p_csv = sub.add_parser("import-csv", help="convert paper_id,author_id + p CSVs to JSON")
     p_csv.add_argument("pairs", help="CSV of paper_id,author_id rows")
@@ -181,12 +169,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _limits(args: argparse.Namespace, instance: Instance) -> tuple[int | None, float | None]:
-    b = args.b if args.b is not None else instance.b
-    lam = args.lam if args.lam is not None else instance.lam
-    return b, lam
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     if args.algorithm not in ALGORITHMS[args.variant]:
         valid = ", ".join(ALGORITHMS[args.variant])
@@ -196,40 +178,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
     instance = load_instance(args.file)
     require_valid(instance)
-    b, lam = _limits(args, instance)
-
+    # Limits go to the solvers as given; an unset one means the instance's own.
     if args.dump_network:
-        _dump_network(args, instance, b, lam)
+        _dump_network(args, instance)
     if args.dump_lp:
-        _dump_lp(args, instance, b, lam)
+        _dump_lp(args, instance)
 
     if args.variant == "basic":
         report_obj = _solve_basic(args, instance)
     elif args.variant == "hard":
-        report_obj = _solve_hard(args, instance, b)
+        report_obj = _solve_hard(args, instance)
     else:
-        report_obj = _solve_soft(args, instance, b, lam)
-    return _emit(args, report_obj)
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    instance = load_instance(args.file)
-    require_valid(instance)
-    b, lam = _limits(args, instance)
-    if args.variant == "basic":
-        assignment, _ = oracle_basic(instance, cap=args.cap)
-        report_obj = _basic_report(instance, assignment, "oracle-basic", None)
-    elif args.variant == "hard":
-        best = oracle_hard(instance, b, cap=args.cap)
-        if best is None:
-            report_obj = report_to_dict(
-                SolveReport(status=SolveStatus.INFEASIBLE, solver="oracle-hard")
-            )
-        else:
-            report_obj = _basic_report(instance, best[0], "oracle-hard", None)
-    else:
-        assignment, _ = oracle_soft(instance, b, lam, cap=args.cap)
-        report_obj = _soft_report(instance, assignment, b, lam, "oracle-soft", None)
+        report_obj = _solve_soft(args, instance)
     return _emit(args, report_obj)
 
 
@@ -240,36 +200,46 @@ def _cmd_import_csv(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _report(
+    instance: Instance,
+    assignment: Assignment,
+    solver: str,
+    seed: int | None = None,
+    soft: tuple[int | None, float | None] | None = None,
+) -> dict[str, Any]:
+    return report_to_dict(report_for(instance, assignment, solver, seed, soft), assignment)
+
+
 def _solve_basic(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
     if args.algorithm == "greedy":
         assignment, report = greedy_assign_basic(instance, seed=args.seed)
         return report_to_dict(report, assignment)
     assignment, _ = oracle_basic(instance, cap=args.cap)
-    return _basic_report(instance, assignment, "oracle-basic", None)
+    return _report(instance, assignment, "oracle-basic")
 
 
-def _solve_hard(args: argparse.Namespace, instance: Instance, b: int | None) -> dict[str, Any]:
+def _solve_hard(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
     if args.algorithm == "flow":
-        assignment, report = solve_hard(instance, b)
+        assignment, report = solve_hard(instance, args.b)
         return report_to_dict(report, assignment)
     if args.algorithm == "lp":
-        return _solve_hard_lp(instance, b)
+        return _solve_hard_lp(instance, args.b)
     if args.algorithm == "oracle":
-        best = oracle_hard(instance, b, cap=args.cap)
+        best = oracle_hard(instance, args.b, cap=args.cap)
         if best is None:
             return report_to_dict(SolveReport(status=SolveStatus.INFEASIBLE, solver="oracle-hard"))
-        return _basic_report(instance, best[0], "oracle-hard", None)
+        return _report(instance, best[0], "oracle-hard")
     if args.algorithm == "baseline-rand":
-        result = rand_assign_hard(instance, b, seed=args.seed)
+        result = rand_assign_hard(instance, args.b, seed=args.seed)
         solver = "baseline-rand-hard"
     else:
-        result = greedy_assign_hard(instance, b, seed=args.seed)
+        result = greedy_assign_hard(instance, args.b, seed=args.seed)
         solver = "baseline-greedy-hard"
     if result.err:
         return report_to_dict(
             SolveReport(status=SolveStatus.INFEASIBLE, solver=solver, seed=args.seed)
         )
-    return _basic_report(instance, result.assignment, solver, args.seed)
+    return _report(instance, result.assignment, solver, args.seed)
 
 
 def _solve_hard_lp(instance: Instance, b: int | None) -> dict[str, Any]:
@@ -287,21 +257,8 @@ def _solve_hard_lp(instance: Instance, b: int | None) -> dict[str, Any]:
         min(value, abs(value - 1.0)) <= INTEGRALITY_TOL for value in solution.values
     )
     if integral:
-        nominee = [0] * instance.n
-        for (i, j), k in pair_vars.items():
-            if solution.values[k] > 0.5:
-                nominee[i - 1] = j
-        assignment = Assignment(nominee=tuple(nominee))
-        objective = basic_objective(instance, assignment)
-        report = SolveReport(
-            status=SolveStatus.OPTIMAL,
-            objective=objective,
-            expected_rejections=objective,
-            penalty=0.0,
-            loads=tuple(author_loads(instance, assignment)),
-            solver="hard-lp",
-            integral=True,
-        )
+        assignment = assignment_from_pairs(instance, pair_vars, solution.values)
+        report = replace(report_for(instance, assignment, "hard-lp"), integral=True)
         return report_to_dict(report, assignment)
     expected = 0.0
     for (_, j), k in pair_vars.items():
@@ -323,60 +280,21 @@ def _solve_hard_lp(instance: Instance, b: int | None) -> dict[str, Any]:
     return report_to_dict(report, extra={"x": fractional})
 
 
-def _solve_soft(
-    args: argparse.Namespace, instance: Instance, b: int | None, lam: float | None
-) -> dict[str, Any]:
+def _solve_soft(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
     if args.algorithm == "lp-round":
-        assignment, report = solve_soft(instance, b, lam)
+        assignment, report = solve_soft(instance, args.b, args.lam)
         return report_to_dict(report, assignment)
     if args.algorithm == "exact-flow":
-        assignment, report = solve_soft_exact(instance, b, lam)
+        assignment, report = solve_soft_exact(instance, args.b, args.lam)
         return report_to_dict(report, assignment)
     if args.algorithm == "oracle":
-        assignment, _ = oracle_soft(instance, b, lam, cap=args.cap)
-        return _soft_report(instance, assignment, b, lam, "oracle-soft", None)
+        assignment, _ = oracle_soft(instance, args.b, args.lam, cap=args.cap)
+        return _report(instance, assignment, "oracle-soft", soft=(args.b, args.lam))
     if args.algorithm == "baseline-rand":
-        assignment = rand_assign_soft(instance, b, seed=args.seed)
-        return _soft_report(instance, assignment, b, lam, "baseline-rand-soft", args.seed)
-    assignment = greedy_assign_soft(instance, b, lam, seed=args.seed)
-    return _soft_report(instance, assignment, b, lam, "baseline-greedy-soft", args.seed)
-
-
-def _basic_report(
-    instance: Instance, assignment: Assignment, solver: str, seed: int | None
-) -> dict[str, Any]:
-    objective = basic_objective(instance, assignment)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=objective,
-        penalty=0.0,
-        loads=tuple(author_loads(instance, assignment)),
-        solver=solver,
-        seed=seed,
-    )
-    return report_to_dict(report, assignment)
-
-
-def _soft_report(
-    instance: Instance,
-    assignment: Assignment,
-    b: int | None,
-    lam: float | None,
-    solver: str,
-    seed: int | None,
-) -> dict[str, Any]:
-    objective, expected, penalty = soft_objective(instance, assignment, b=b, lam=lam)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=expected,
-        penalty=penalty,
-        loads=tuple(author_loads(instance, assignment)),
-        solver=solver,
-        seed=seed,
-    )
-    return report_to_dict(report, assignment)
+        assignment = rand_assign_soft(instance, args.b, seed=args.seed)
+        return _report(instance, assignment, "baseline-rand-soft", args.seed, (args.b, args.lam))
+    assignment = greedy_assign_soft(instance, args.b, args.lam, seed=args.seed)
+    return _report(instance, assignment, "baseline-greedy-soft", args.seed, (args.b, args.lam))
 
 
 def _emit(args: argparse.Namespace, report_obj: dict[str, Any]) -> int:
@@ -417,27 +335,27 @@ def _lp_to_dict(lp: LinearProgram) -> dict[str, Any]:
     }
 
 
-def _dump_network(
-    args: argparse.Namespace, instance: Instance, b: int | None, lam: float | None
-) -> None:
+def _dump_network(args: argparse.Namespace, instance: Instance) -> None:
     if args.variant == "hard" and args.algorithm == "flow":
-        network, _ = build_hard_network(instance, b)
+        network, _ = build_hard_network(instance, args.b)
     elif args.variant == "soft" and args.algorithm == "exact-flow":
-        network, _ = build_soft_network(instance, b, lam)
+        network, _ = build_soft_network(instance, args.b, args.lam)
     else:
         raise ValueError("--dump-network applies to the flow and exact-flow algorithms")
     with open(args.dump_network, "w") as handle:
         handle.write(dumps(_network_to_dict(network)))
 
 
-def _dump_lp(
-    args: argparse.Namespace, instance: Instance, b: int | None, lam: float | None
-) -> None:
+def _dump_lp(args: argparse.Namespace, instance: Instance) -> None:
     if args.variant == "hard" and args.algorithm == "lp":
-        lp, _ = build_hard_lp(instance, b)
+        lp, _ = build_hard_lp(instance, args.b)
     elif args.variant == "soft" and args.algorithm == "lp-round":
-        lp, _, _ = build_soft_lp(instance, b, lam)
+        lp, _, _ = build_soft_lp(instance, args.b, args.lam)
     else:
         raise ValueError("--dump-lp applies to the lp and lp-round algorithms")
     with open(args.dump_lp, "w") as handle:
         handle.write(dumps(_lp_to_dict(lp)))
+
+
+if __name__ == "__main__":
+    main()

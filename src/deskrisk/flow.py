@@ -1,38 +1,44 @@
-"""Minimum-cost circulation with edge lower bounds, and the load-capped solver.
+"""Assignment networks and the author-slot solver behind both exact variants.
 
-The load-capped nomination problem reduces to a circulation on a four-layer
-network (source, authors, papers, sink, plus a return edge); because all
-capacities are integral, the optimal circulation is integral and converts
-directly back into an assignment, with infeasibility surfacing as an
-unroutable excess.
+:func:`build_hard_network` and :func:`build_soft_network` pose the
+nomination problem as a circulation on a four-layer network (source,
+authors, papers, sink, plus a return edge), and
+:func:`min_cost_circulation` solves exactly these networks.
 
-The solver reduces lower bounds (and fully saturates negative-cost edges)
-to node excesses, then routes the excess from a super source with
-successive shortest augmenting paths: Dijkstra on reduced costs with vertex
-potentials, batching all augmentations at one path cost through a
-level-restricted blocking flow so large instances need few Dijkstra rounds.
-No rounding is ever applied; every flow value stays a nonnegative integer.
+Each unit of source capacity into an author is a *slot*.  All of an
+author's paper edges cost the same, so a slot's weight (its source edge's
+cost plus that shared cost) does not depend on which paper it serves, and
+the sets of slots that can serve distinct papers form a transversal matroid
+(Edmonds & Fulkerson 1965).  Greedy is exact on a matroid (Edmonds 1971):
+take slots in ascending weight and keep each one that an alternating search
+from its author (author, incident paper, that paper's holder, ...) can
+extend to an unassigned paper.  A failed search proves that no author it
+visited can ever gain a paper, so those authors are skipped from then on.
+Weights are compared as exact rationals, and every flow value is an integer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from fractions import Fraction
 
 from .instance import (
     Assignment,
     Instance,
     SolveReport,
     SolveStatus,
-    author_loads,
-    basic_objective,
+    assignment_from_pairs,
+    report_for,
     require_valid,
+    resolve_limits,
 )
+
+SOURCE, SINK = 1, 2
 
 
 class MalformedNetworkError(ValueError):
-    """Raised when a network violates its own structural invariants."""
+    """Raised when a network violates its own invariants or is not an assignment network."""
 
 
 @dataclass(frozen=True)
@@ -99,175 +105,128 @@ def _validate_network(network: FlowNetwork) -> None:
             raise MalformedNetworkError(f"edge {idx} has non-finite cost {e.cost}")
 
 
-def _exact_integer_costs(edges: list[FlowEdge]) -> list[int]:
-    # Doubles are dyadic rationals, so a common power-of-two rescaling turns
-    # every cost into an exact (arbitrary-precision) integer.  All shortest-
-    # path arithmetic then stays exact: tightness tests are true equalities
-    # and no rounding noise can stall or misroute an augmentation.
-    shift = 0
-    for e in edges:
-        if e.cost != 0.0:
-            _, exp = math.frexp(e.cost)
-            shift = max(shift, 53 - exp)
-    scaled: list[int] = []
-    for e in edges:
-        if e.cost == 0.0:
-            scaled.append(0)
+def _assignment_layers(network: FlowNetwork):
+    """Split an assignment network into its layers, or raise MalformedNetworkError.
+
+    Returns the source edges, each paper vertex's edge into the sink, each
+    author's ``(paper vertex, edge)`` list and shared edge cost, and the
+    return edge.
+    """
+    edges = network.edges
+    source: list[int] = []
+    papers: dict[int, int] = {}
+    incident: dict[int, list[tuple[int, int]]] = {}
+    cost: dict[int, float] = {}
+    back: list[int] = []
+    for k, e in enumerate(edges):
+        if (e.tail, e.head) == (SINK, SOURCE):
+            fits = not back and e.lower == 0 and e.cost == 0.0
+            back.append(k)
+        elif e.tail == SOURCE:
+            fits = e.lower == 0
+            source.append(k)
+        elif e.head == SINK:
+            fits = e.tail not in papers and (e.lower, e.capacity, e.cost) == (1, 1, 0.0)
+            papers[e.tail] = k
         else:
-            mantissa, exp = math.frexp(e.cost)
-            scaled.append(int(mantissa * (1 << 53)) << (shift + exp - 53))
-    return scaled
+            fits = (e.lower, e.capacity) == (0, 1) and e.cost == cost.setdefault(e.tail, e.cost)
+            incident.setdefault(e.tail, []).append((e.head, k))
+        if not fits:
+            raise MalformedNetworkError(
+                f"edge {k} ({e.tail} -> {e.head}) does not fit an assignment network"
+            )
+    authors = {edges[k].head for k in source} | incident.keys()
+    heads = {paper for arcs in incident.values() for paper, _ in arcs}
+    if (
+        any(network.supply)
+        or len(back) != 1
+        or edges[back[0]].capacity < len(papers)
+        or (authors | papers.keys()) & {SOURCE, SINK}
+        or authors & papers.keys()
+        or not heads <= papers.keys()
+    ):
+        raise MalformedNetworkError(
+            "not an assignment network: it needs no supplies, one return edge, and "
+            "source -> author -> paper -> sink layers"
+        )
+    return source, papers, incident, cost, back[0]
 
 
 def min_cost_circulation(network: FlowNetwork) -> Circulation | None:
-    """Cheapest integral flow meeting all lower bounds; ``None`` if none exists.
+    """Cheapest integral circulation of an assignment network; ``None`` if none exists.
 
-    Handles negative edge costs by saturating those edges up front, so the
-    residual network never carries a negative-cost arc and plain Dijkstra
-    potentials stay valid throughout.
+    Only networks shaped like the builders' output are solved: no supplies,
+    source edges into authors, ``[0, 1]`` author-to-paper edges sharing one
+    cost per author, one ``[1, 1]`` edge from each paper into the sink, and
+    one return edge.  Any other raises :class:`MalformedNetworkError`.
     """
     _validate_network(network)
-    n = network.num_vertices
-    size = n + 2  # internal node ids: 0 = super source, 1..n = vertices, n+1 = super sink
-    s, t = 0, n + 1
-    int_costs = _exact_integer_costs(network.edges)
-
-    head: list[int] = []
-    cap: list[int] = []
-    cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(size)]
-
-    def add_arc(u: int, v: int, forward: int, backward: int, w: int) -> int:
-        arc = len(head)
-        head.append(v)
-        cap.append(forward)
-        cost.append(w)
-        adj[u].append(arc)
-        head.append(u)
-        cap.append(backward)
-        cost.append(-w)
-        adj[v].append(arc + 1)
-        return arc
-
-    # Excess r(v) = net flow v still has to emit once forced units are in place.
-    excess = [0] * size
-    for v in range(1, n + 1):
-        excess[v] = network.supply[v - 1]
-    edge_arc: list[int] = []
-    for e, w in zip(network.edges, int_costs):
-        span = e.capacity - e.lower
-        forced = e.capacity if w < 0 else e.lower
-        init = forced - e.lower  # pre-routed units beyond the lower bound
-        excess[e.head] += forced
-        excess[e.tail] -= forced
-        edge_arc.append(add_arc(e.tail, e.head, span - init, init, w))
-
-    need = 0
-    for v in range(1, n + 1):
-        if excess[v] > 0:
-            add_arc(s, v, excess[v], 0, 0)
-            need += excess[v]
-        elif excess[v] < 0:
-            add_arc(v, t, -excess[v], 0, 0)
-
-    pot = [0] * size
-    pushed = 0
-    while pushed < need:
-        dist = _dijkstra(adj, head, cap, cost, pot, s, t, size)
-        limit = dist[t]
-        if limit == math.inf:
-            return None
-        progress = _blocking_flow(adj, head, cap, cost, pot, dist, s, t, size)
-        assert progress > 0, "admissible graph must carry the shortest-path tree"
-        pushed += progress
-        for v in range(size):
-            pot[v] += dist[v] if dist[v] < limit else limit
-
-    flow = tuple(e.capacity - cap[arc] for e, arc in zip(network.edges, edge_arc))
+    source, sink_edges, incident, cost, back = _assignment_layers(network)
+    edges = network.edges
+    slots = sorted(
+        source,
+        key=lambda k: (Fraction(edges[k].cost) + Fraction(cost.get(edges[k].head, 0.0)), k),
+    )
+    papers = len(sink_edges)
+    holder: dict[int, tuple[int, int]] = {}  # paper vertex -> (author, edge)
+    dead: set[int] = set()
+    flow = [0] * len(edges)
+    for k in slots:
+        author = edges[k].head
+        while (
+            flow[k] < edges[k].capacity
+            and len(holder) < papers
+            and _augment(author, incident, holder, dead)
+        ):
+            flow[k] += 1
+    if len(holder) < papers:
+        return None
+    for _, k in holder.values():
+        flow[k] = 1
+    for k in sink_edges.values():
+        flow[k] = 1
+    flow[back] = papers
     total = 0.0
-    for e, f in zip(network.edges, flow):
+    for e, f in zip(edges, flow):
         total += e.cost * f
-    return Circulation(flow=flow, cost=total)
+    return Circulation(flow=tuple(flow), cost=total)
 
 
-def _dijkstra(adj, head, cap, cost, pot, s, t, size):
-    dist: list = [math.inf] * size
-    dist[s] = 0
-    heap = [(0, s)]
-    while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        if u == t:
-            break
-        pu = pot[u]
-        for arc in adj[u]:
-            if cap[arc] <= 0:
+def _augment(
+    start: int,
+    incident: dict[int, list[tuple[int, int]]],
+    holder: dict[int, tuple[int, int]],
+    dead: set[int],
+) -> bool:
+    """Give ``start`` one more paper, moving held papers along an alternating path.
+
+    Breadth-first from ``start``: an incident paper is either unassigned,
+    which ends the search, or held by an author who may take another paper
+    instead.  A failed search marks every author it visited as dead.
+    """
+    if start in dead:
+        return False
+    gives_up: dict[int, int | None] = {start: None}  # reached author -> paper it yields
+    via: dict[int, tuple[int, int]] = {}  # reached paper -> (author, edge) reaching it
+    queue = [start]
+    for author in queue:
+        for paper, k in incident.get(author, ()):
+            if paper in via:
                 continue
-            v = head[arc]
-            nd = d + cost[arc] + pu - pot[v]
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    return dist
-
-
-def _admissible(u, arc, head, cap, cost, pot, dist):
-    # Exact integer equality: the arc lies on some shortest path.  The
-    # shortest-path tree always qualifies, so every phase makes progress.
-    return cap[arc] > 0 and dist[u] + cost[arc] + pot[u] - pot[head[arc]] == dist[head[arc]]
-
-
-def _blocking_flow(adj, head, cap, cost, pot, dist, s, t, size):
-    level = [-1] * size
-    level[s] = 0
-    queue = [s]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for arc in adj[u]:
-            v = head[arc]
-            if level[v] < 0 and _admissible(u, arc, head, cap, cost, pot, dist):
-                level[v] = level[u] + 1
-                queue.append(v)
-    if level[t] < 0:
-        return 0
-
-    it = [0] * size
-    total = 0
-    path: list[int] = []
-    u = s
-    while True:
-        if u == t:
-            push = min(cap[arc] for arc in path)
-            for arc in path:
-                cap[arc] -= push
-                cap[arc ^ 1] += push
-            total += push
-            cut = next(i for i, arc in enumerate(path) if cap[arc] == 0)
-            del path[cut:]
-            u = head[path[-1]] if path else s
-            continue
-        moved = False
-        arcs = adj[u]
-        while it[u] < len(arcs):
-            arc = arcs[it[u]]
-            v = head[arc]
-            if level[v] == level[u] + 1 and _admissible(u, arc, head, cap, cost, pot, dist):
-                path.append(arc)
-                u = v
-                moved = True
-                break
-            it[u] += 1
-        if moved:
-            continue
-        if u == s:
-            return total
-        level[u] = -1
-        arc = path.pop()
-        u = head[arc ^ 1]
-        it[u] += 1
+            via[paper] = (author, k)
+            held = holder.get(paper)
+            if held is None:
+                step: int | None = paper
+                while step is not None:
+                    holder[step] = via[step]
+                    step = gives_up[via[step][0]]
+                return True
+            other = held[0]
+            if other not in gives_up and other not in dead:
+                gives_up[other] = paper
+                queue.append(other)
+    dead.update(gives_up)
+    return False
 
 
 def check_circulation(network: FlowNetwork, circulation: Circulation) -> list[str]:
@@ -285,10 +244,31 @@ def check_circulation(network: FlowNetwork, circulation: Circulation) -> list[st
     return violations
 
 
+def _assignment_network(
+    instance: Instance, b: int | None, lam: float | None, soft: bool
+) -> tuple[FlowNetwork, dict[tuple[int, int], int]]:
+    require_valid(instance)
+    b, lam = resolve_limits(instance, b, lam, soft=soft)
+    n, m = instance.n, instance.m
+    net = FlowNetwork(num_vertices=m + n + 2)
+    for j in range(1, m + 1):
+        net.add_edge(SOURCE, j + 2, 0, b, 0.0)
+        if lam is not None:
+            net.add_edge(SOURCE, j + 2, 0, n, lam)
+    pair_edges = {
+        (i, j): net.add_edge(j + 2, i + m + 2, 0, 1, instance.p[j - 1])
+        for i, j in instance.authorship
+    }
+    for i in range(1, n + 1):
+        net.add_edge(i + m + 2, SINK, 1, 1, 0.0)
+    net.add_edge(SINK, SOURCE, 0, n, 0.0)
+    return net, pair_edges
+
+
 def build_hard_network(
     instance: Instance, b: int | None = None
 ) -> tuple[FlowNetwork, dict[tuple[int, int], int]]:
-    """Translate a load-capped instance into a circulation network.
+    """Translate a load-capped instance into an assignment network.
 
     Layout: vertex 1 is the source, 2 the sink, authors sit at ``j + 2`` and
     papers at ``i + m + 2``.  Author capacity ``b`` lives on the source
@@ -297,23 +277,29 @@ def build_hard_network(
     edges.  Returns the network plus a map from incident pairs to the index
     of their author-paper edge.
     """
-    require_valid(instance)
-    if b is None:
-        b = instance.b
-    if b is None or b < 1:
-        raise ValueError(f"hard variant requires a nomination limit b >= 1, got {b}")
-    n, m = instance.n, instance.m
-    net = FlowNetwork(num_vertices=m + n + 2)
-    for j in range(1, m + 1):
-        net.add_edge(1, j + 2, 0, b, 0.0)
-    pair_edges = {
-        (i, j): net.add_edge(j + 2, i + m + 2, 0, 1, instance.p[j - 1])
-        for i, j in instance.authorship
-    }
-    for i in range(1, n + 1):
-        net.add_edge(i + m + 2, 2, 1, 1, 0.0)
-    net.add_edge(2, 1, 0, n, 0.0)
-    return net, pair_edges
+    return _assignment_network(instance, b, None, soft=False)
+
+
+def build_soft_network(
+    instance: Instance, b: int | None = None, lam: float | None = None
+) -> tuple[FlowNetwork, dict[tuple[int, int], int]]:
+    """Assignment network whose cost equals the soft objective.
+
+    Same layout as the load-capped network, but each author gets two parallel
+    source edges: one free up to ``b`` nominations and one charging ``lam``
+    per extra unit, reproducing the penalty's two slopes.
+    """
+    return _assignment_network(instance, b, lam, soft=True)
+
+
+def solve_network(
+    instance: Instance, network: FlowNetwork, pair_edges: dict[tuple[int, int], int]
+) -> Assignment | None:
+    """Solve a network from the builders above and read off each paper's nominee."""
+    circulation = min_cost_circulation(network)
+    if circulation is None:
+        return None
+    return assignment_from_pairs(instance, pair_edges, circulation.flow)
 
 
 def solve_hard(
@@ -325,21 +311,7 @@ def solve_hard(
     keeps every author within the limit.
     """
     network, pair_edges = build_hard_network(instance, b)
-    circulation = min_cost_circulation(network)
-    if circulation is None:
+    assignment = solve_network(instance, network, pair_edges)
+    if assignment is None:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-flow")
-    nominee = [0] * instance.n
-    for (i, j), edge in pair_edges.items():
-        if circulation.flow[edge] == 1:
-            nominee[i - 1] = j
-    assignment = Assignment(nominee=tuple(nominee))
-    objective = basic_objective(instance, assignment)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=objective,
-        penalty=0.0,
-        loads=tuple(author_loads(instance, assignment)),
-        solver="hard-flow",
-    )
-    return assignment, report
+    return assignment, report_for(instance, assignment, "hard-flow")

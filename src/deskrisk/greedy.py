@@ -9,15 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .instance import (
-    Assignment,
-    Instance,
-    SolveReport,
-    SolveStatus,
-    author_loads,
-    basic_objective,
-    require_valid,
-)
+from .instance import Assignment, Instance, SolveReport, report_for, require_valid
 
 
 def greedy_assign_basic(
@@ -41,14 +33,4 @@ def greedy_assign_basic(
         else:
             nominee.append(ties[rng.randrange(len(ties))])
     assignment = Assignment(nominee=tuple(nominee))
-    objective = basic_objective(instance, assignment)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=objective,
-        penalty=0.0,
-        loads=tuple(author_loads(instance, assignment)),
-        solver="greedy-basic",
-        seed=seed,
-    )
-    return assignment, report
+    return assignment, report_for(instance, assignment, "greedy-basic", seed=seed)

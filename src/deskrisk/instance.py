@@ -12,10 +12,11 @@ are pure, so instances and assignments can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class SolveStatus(str, Enum):
@@ -87,6 +88,11 @@ class Instance:
             if 1 <= i <= self.n:
                 out[i - 1].append(j)
         return tuple(tuple(row) for row in out)
+
+    @cached_property
+    def incidence(self) -> frozenset[tuple[int, int]]:
+        """The authorship pairs as a set, for membership tests."""
+        return frozenset(self.authorship)
 
     @property
     def nnz(self) -> int:
@@ -171,9 +177,13 @@ def validate(instance: Instance) -> list[str]:
             violations.append(f"p_{j} out of [0,1]: {pj}")
     if instance.b is not None and instance.b < 1:
         violations.append(f"b must be >= 1, got {instance.b}")
-    if instance.lam is not None and not instance.lam > 0.0:
-        violations.append(f"lambda must be > 0, got {instance.lam}")
+    if instance.lam is not None and not _positive_finite(instance.lam):
+        violations.append(f"lambda must be > 0 and finite, got {instance.lam}")
     return violations
+
+
+def _positive_finite(value: float) -> bool:
+    return value > 0.0 and math.isfinite(value)
 
 
 def require_valid(instance: Instance) -> None:
@@ -182,16 +192,51 @@ def require_valid(instance: Instance) -> None:
         raise InvalidInstanceError("; ".join(violations))
 
 
+def resolve_limits(
+    instance: Instance,
+    b: int | None = None,
+    lam: float | None = None,
+    soft: bool = False,
+) -> tuple[int, float | None]:
+    """The nomination limit and, for the soft variant, the penalty weight.
+
+    Each defaults to the instance's own value.  ``b`` must be at least 1 and
+    the soft variant also needs a finite ``lam > 0``; anything else raises
+    ``ValueError``.  Without ``soft`` the returned weight is ``None``.
+    """
+    if b is None:
+        b = instance.b
+    if b is None or b < 1:
+        raise ValueError(f"nomination limit b must be >= 1, got {b}")
+    if not soft:
+        return b, None
+    if lam is None:
+        lam = instance.lam
+    if lam is None or not _positive_finite(lam):
+        raise ValueError(f"penalty weight lambda must be > 0 and finite, got {lam}")
+    return b, lam
+
+
 def check_assignment(instance: Instance, assignment: Assignment) -> None:
     """Raise :class:`InvalidAssignmentError` unless every nominee is incident."""
     if len(assignment.nominee) != instance.n:
         raise InvalidAssignmentError(
             f"assignment has {len(assignment.nominee)} nominees, expected n={instance.n}"
         )
-    incident = set(instance.authorship)
     for i, j in enumerate(assignment.nominee, start=1):
-        if (i, j) not in incident:
+        if (i, j) not in instance.incidence:
             raise InvalidAssignmentError(f"paper {i} nominates non-author {j}")
+
+
+def assignment_from_pairs(
+    instance: Instance, index: Mapping[tuple[int, int], int], values: Sequence[float]
+) -> Assignment:
+    """Nominate author ``j`` for paper ``i`` wherever ``values[index[(i, j)]]`` is 1."""
+    nominee = [0] * instance.n
+    for (i, j), k in index.items():
+        if values[k] > 0.5:
+            nominee[i - 1] = j
+    return Assignment(nominee=tuple(nominee))
 
 
 def author_loads(instance: Instance, assignment: Assignment) -> list[int]:
@@ -224,15 +269,9 @@ def soft_objective(
     """Soft-limit objective as ``(objective, expected_rejections, penalty)``.
 
     ``penalty`` charges ``lam`` per nomination beyond ``b`` on any single
-    author.  ``b`` and ``lam`` default to the instance's own values and must
-    be present one way or the other.
+    author.  ``b`` and ``lam`` are resolved by :func:`resolve_limits`.
     """
-    if b is None:
-        b = instance.b
-    if lam is None:
-        lam = instance.lam
-    if b is None or lam is None:
-        raise ValueError("soft objective requires both b and lambda")
+    b, lam = resolve_limits(instance, b, lam, soft=True)
     expected = basic_objective(instance, assignment)
     loads = author_loads(instance, assignment)
     over = 0
@@ -241,6 +280,34 @@ def soft_objective(
             over += load - b
     penalty = lam * over
     return expected + penalty, expected, penalty
+
+
+def report_for(
+    instance: Instance,
+    assignment: Assignment,
+    solver: str,
+    seed: int | None = None,
+    soft: tuple[int | None, float | None] | None = None,
+) -> SolveReport:
+    """Optimal report for ``assignment``, every number recomputed from the instance.
+
+    ``soft`` is ``(b, lam)`` for the soft-limit objective; without it the
+    objective is the expected number of rejections and the penalty is 0.
+    """
+    if soft is None:
+        objective = expected = basic_objective(instance, assignment)
+        penalty = 0.0
+    else:
+        objective, expected, penalty = soft_objective(instance, assignment, *soft)
+    return SolveReport(
+        status=SolveStatus.OPTIMAL,
+        objective=objective,
+        expected_rejections=expected,
+        penalty=penalty,
+        loads=tuple(author_loads(instance, assignment)),
+        solver=solver,
+        seed=seed,
+    )
 
 
 def fractional_loads(instance: Instance, solution: FractionalSolution) -> list[float]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .instance import Instance, require_valid
+from .instance import Instance, require_valid, resolve_limits
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
@@ -209,6 +209,30 @@ def _duality_gap(lp, result, b_eq, b_ub) -> float:
     return abs(float(result.fun) - dual)
 
 
+def _assignment_lp(
+    instance: Instance, b: int | None, lam: float | None, soft: bool
+) -> tuple[LinearProgram, dict[tuple[int, int], int], dict[int, int]]:
+    require_valid(instance)
+    b, lam = resolve_limits(instance, b, lam, soft=soft)
+    pair_vars = {pair: k for k, pair in enumerate(instance.authorship)}
+    y_vars = {} if lam is None else {j: instance.nnz + j - 1 for j in range(1, instance.m + 1)}
+    lp = LinearProgram.minimize(
+        [instance.p[j - 1] for _, j in instance.authorship] + [lam] * len(y_vars)
+    )
+    lp.upper[: instance.nnz] = [1.0] * instance.nnz
+    by_author: list[SparseRow] = [[] for _ in range(instance.m)]
+    for i, row in enumerate(instance.rows, start=1):
+        lp.add_eq([(pair_vars[(i, j)], 1.0) for j in row], 1.0)
+        for j in row:
+            by_author[j - 1].append((pair_vars[(i, j)], 1.0))
+    for j, entries in enumerate(by_author, start=1):
+        if y_vars:
+            # y_j >= load_j - b, stated as load_j - y_j <= b.
+            entries.append((y_vars[j], -1.0))
+        lp.add_ineq(entries, float(b), "<=")
+    return lp, pair_vars, y_vars
+
+
 def build_hard_lp(
     instance: Instance, b: int | None = None
 ) -> tuple[LinearProgram, dict[tuple[int, int], int]]:
@@ -218,19 +242,16 @@ def build_hard_lp(
     fixed at zero and never materialized), one equality row per paper, one
     ``<=`` row per author.  Returns the program and the pair-to-variable map.
     """
-    require_valid(instance)
-    if b is None:
-        b = instance.b
-    if b is None or b < 1:
-        raise ValueError(f"hard variant requires a nomination limit b >= 1, got {b}")
-    pair_vars = {pair: k for k, pair in enumerate(instance.authorship)}
-    lp = LinearProgram.minimize([instance.p[j - 1] for _, j in instance.authorship])
-    lp.upper = [1.0] * lp.num_vars
-    by_author: list[SparseRow] = [[] for _ in range(instance.m)]
-    for i, row in enumerate(instance.rows, start=1):
-        lp.add_eq([(pair_vars[(i, j)], 1.0) for j in row], 1.0)
-        for j in row:
-            by_author[j - 1].append((pair_vars[(i, j)], 1.0))
-    for entries in by_author:
-        lp.add_ineq(entries, float(b), "<=")
+    lp, pair_vars, _ = _assignment_lp(instance, b, None, soft=False)
     return lp, pair_vars
+
+
+def build_soft_lp(
+    instance: Instance, b: int | None = None, lam: float | None = None
+) -> tuple[LinearProgram, dict[tuple[int, int], int], dict[int, int]]:
+    """Epigraph program: the hard relaxation plus an overload variable per author.
+
+    Returns the program, the pair-to-variable map, and the author-to-overload
+    variable map.
+    """
+    return _assignment_lp(instance, b, lam, soft=True)

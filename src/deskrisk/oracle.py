@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterator
 
-from .instance import Assignment, Instance, require_valid
+from .instance import Assignment, Instance, require_valid, resolve_limits
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
@@ -76,10 +76,7 @@ def oracle_hard(
 ) -> tuple[Assignment, float] | None:
     """Exact optimum with every author load capped at ``b``; ``None`` if infeasible."""
     _check_cap(instance, cap)
-    if b is None:
-        b = instance.b
-    if b is None or b < 1:
-        raise ValueError(f"hard oracle requires a nomination limit b >= 1, got {b}")
+    b, _ = resolve_limits(instance, b)
     p = instance.p
     m = instance.m
     best: tuple[int, ...] | None = None
@@ -113,14 +110,7 @@ def oracle_soft(
 ) -> tuple[Assignment, float]:
     """Exact optimum of the soft-limit objective (always feasible)."""
     _check_cap(instance, cap)
-    if b is None:
-        b = instance.b
-    if lam is None:
-        lam = instance.lam
-    if b is None or b < 1:
-        raise ValueError(f"soft oracle requires a nomination limit b >= 1, got {b}")
-    if lam is None or not lam > 0.0:
-        raise ValueError(f"soft oracle requires lambda > 0, got {lam}")
+    b, lam = resolve_limits(instance, b, lam, soft=True)
     p = instance.p
     m = instance.m
     best: tuple[int, ...] | None = None

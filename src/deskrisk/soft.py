@@ -9,68 +9,31 @@ before returning.  A per-paper argmax then rounds the relaxed solution to a
 valid assignment.
 
 :func:`solve_soft_exact` sidesteps the relaxation entirely: the penalty's
-two slopes become two parallel source edges per author (free up to ``b``,
-cost ``lam`` beyond), and the integral min-cost circulation is the exact
-optimum, which makes the rounding gap measurable instead of merely bounded.
+two slopes become two source edges per author (free up to ``b``, cost
+``lam`` beyond), so an author's first ``b`` nomination slots weigh ``p_j``
+and the rest ``p_j + lam``, and the author-slot greedy of :mod:`.flow`
+returns the exact integral optimum, which makes the rounding gap measurable
+instead of merely bounded.
 """
 
 from __future__ import annotations
 
-from .flow import FlowNetwork, min_cost_circulation
+from dataclasses import replace
+
+from .flow import build_soft_network, solve_network
 from .instance import (
     Assignment,
     FractionalSolution,
     Instance,
     SolveReport,
     SolveStatus,
-    author_loads,
     fractional_loads,
-    require_valid,
-    soft_objective,
+    report_for,
+    resolve_limits,
 )
-from .lp import LinearProgram, LpStatus, SparseRow, solve_lp
+from .lp import LpStatus, build_soft_lp, solve_lp
 
 EQUIVALENCE_TOL = 1e-7
-
-
-def _soft_params(instance: Instance, b: int | None, lam: float | None) -> tuple[int, float]:
-    if b is None:
-        b = instance.b
-    if lam is None:
-        lam = instance.lam
-    if b is None or b < 1:
-        raise ValueError(f"soft variant requires a nomination limit b >= 1, got {b}")
-    if lam is None or not lam > 0.0:
-        raise ValueError(f"soft variant requires lambda > 0, got {lam}")
-    return b, lam
-
-
-def build_soft_lp(
-    instance: Instance, b: int | None = None, lam: float | None = None
-) -> tuple[LinearProgram, dict[tuple[int, int], int], dict[int, int]]:
-    """Epigraph program: pair variables in ``[0, 1]`` plus overload variables.
-
-    Returns the program, the pair-to-variable map, and the author-to-overload
-    variable map.
-    """
-    require_valid(instance)
-    b, lam = _soft_params(instance, b, lam)
-    pair_vars = {pair: k for k, pair in enumerate(instance.authorship)}
-    y_vars = {j: instance.nnz + j - 1 for j in range(1, instance.m + 1)}
-    lp = LinearProgram.minimize(
-        [instance.p[j - 1] for _, j in instance.authorship] + [lam] * instance.m
-    )
-    for k in range(instance.nnz):
-        lp.upper[k] = 1.0
-    by_author: list[SparseRow] = [[] for _ in range(instance.m)]
-    for i, row in enumerate(instance.rows, start=1):
-        lp.add_eq([(pair_vars[(i, j)], 1.0) for j in row], 1.0)
-        for j in row:
-            by_author[j - 1].append((pair_vars[(i, j)], 1.0))
-    for j in range(1, instance.m + 1):
-        # y_j >= load_j - b, stated as load_j - y_j <= b.
-        lp.add_ineq(by_author[j - 1] + [(y_vars[j], -1.0)], float(b), "<=")
-    return lp, pair_vars, y_vars
 
 
 def solve_soft_relaxed(
@@ -83,8 +46,7 @@ def solve_soft_relaxed(
     backend returned a non-optimal point and raises instead of propagating a
     wrong bound.
     """
-    require_valid(instance)
-    b, lam = _soft_params(instance, b, lam)
+    b, lam = resolve_limits(instance, b, lam, soft=True)
     lp, pair_vars, y_vars = build_soft_lp(instance, b, lam)
     solution = solve_lp(lp)
     if solution.status is not LpStatus.OPTIMAL:
@@ -142,72 +104,25 @@ def solve_soft(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[Assignment, SolveReport]:
     """Relax, round, and report both the integral objective and the LP bound."""
-    b, lam = _soft_params(instance, b, lam)
     fractional, relaxed_report = solve_soft_relaxed(instance, b, lam)
     assignment = round_soft(instance, fractional)
-    objective, expected, penalty = soft_objective(instance, assignment, b=b, lam=lam)
-    assert relaxed_report.objective is not None
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=expected,
-        penalty=penalty,
-        loads=tuple(author_loads(instance, assignment)),
-        solver="soft-lp-round",
+    report = report_for(instance, assignment, "soft-lp-round", soft=(b, lam))
+    assert report.objective is not None and relaxed_report.objective is not None
+    report = replace(
+        report,
         lp_bound=relaxed_report.objective,
-        rounded_objective=objective,
-        gap=objective - relaxed_report.objective,
+        rounded_objective=report.objective,
+        gap=report.objective - relaxed_report.objective,
     )
     return assignment, report
-
-
-def build_soft_network(
-    instance: Instance, b: int | None = None, lam: float | None = None
-) -> tuple[FlowNetwork, dict[tuple[int, int], int]]:
-    """Circulation network whose cost equals the soft objective.
-
-    Same layout as the load-capped network, but each author gets two parallel
-    source edges: one free up to ``b`` nominations and one charging ``lam``
-    per extra unit, reproducing the penalty's two slopes.
-    """
-    require_valid(instance)
-    b, lam = _soft_params(instance, b, lam)
-    n, m = instance.n, instance.m
-    net = FlowNetwork(num_vertices=m + n + 2)
-    for j in range(1, m + 1):
-        net.add_edge(1, j + 2, 0, b, 0.0)
-        net.add_edge(1, j + 2, 0, n, lam)
-    pair_edges = {
-        (i, j): net.add_edge(j + 2, i + m + 2, 0, 1, instance.p[j - 1])
-        for i, j in instance.authorship
-    }
-    for i in range(1, n + 1):
-        net.add_edge(i + m + 2, 2, 1, 1, 0.0)
-    net.add_edge(2, 1, 0, n, 0.0)
-    return net, pair_edges
 
 
 def solve_soft_exact(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[Assignment, SolveReport]:
     """Exact integral optimum of the soft objective via the two-slope network."""
-    b, lam = _soft_params(instance, b, lam)
     network, pair_edges = build_soft_network(instance, b, lam)
-    circulation = min_cost_circulation(network)
-    if circulation is None:
+    assignment = solve_network(instance, network, pair_edges)
+    if assignment is None:
         raise RuntimeError("soft network should always be feasible")
-    nominee = [0] * instance.n
-    for (i, j), edge in pair_edges.items():
-        if circulation.flow[edge] == 1:
-            nominee[i - 1] = j
-    assignment = Assignment(nominee=tuple(nominee))
-    objective, expected, penalty = soft_objective(instance, assignment, b=b, lam=lam)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=expected,
-        penalty=penalty,
-        loads=tuple(author_loads(instance, assignment)),
-        solver="soft-exact-flow",
-    )
-    return assignment, report
+    return assignment, report_for(instance, assignment, "soft-exact-flow", soft=(b, lam))

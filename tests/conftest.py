@@ -19,3 +19,21 @@ def random_instance(
     rows = [sorted(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(n)]
     p = [rng.uniform(p_low, p_high) for _ in range(m)]
     return Instance.from_rows(rows, p)
+
+
+def edge_cases(rng: random.Random) -> list[tuple[Instance, int]]:
+    """(instance, b) pairs the uniform draws rarely hit.
+
+    A subnormal probability next to 1.0, and tight caps where ``b * m == n``
+    so that every author slot is needed.
+    """
+    cases = [
+        (Instance.from_rows([[1, 2], [1, 2], [2], [1]], p=[5e-324, 1.0]), b)
+        for b in (1, 2, 3)
+    ]
+    for _ in range(12):
+        m, b = rng.randint(1, 3), rng.randint(1, 2)
+        rows = [sorted(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(b * m)]
+        p = [rng.choice([0.0, 5e-324, rng.random(), 1.0]) for _ in range(m)]
+        cases.append((Instance.from_rows(rows, p), b))
+    return cases

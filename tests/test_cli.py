@@ -1,10 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import FIXTURES
 
-from deskrisk import Assignment, basic_objective, load_instance, soft_objective
+from deskrisk import (
+    Assignment,
+    LpSolution,
+    LpStatus,
+    basic_objective,
+    load_instance,
+    soft_objective,
+)
 from deskrisk.cli import run_cli
+
+SRC = FIXTURES.parent / "src"
 
 
 def read_report(path):
@@ -26,6 +38,22 @@ class TestValidateCommand:
 
     def test_missing_file(self, capsys):
         assert run_cli(["validate", "no-such-file.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "name, code, out", [("frac_2x2.json", 0, "ok\n"), ("no-such-file.json", 1, "")]
+    )
+    def test_module_entry_point(self, name, code, out):
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-m", "deskrisk.cli", "validate", str(FIXTURES / name)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == code
+        assert result.stdout == out
+        assert "Traceback" not in result.stderr
 
 
 class TestGenCommand:
@@ -149,6 +177,27 @@ class TestSolveCommand:
              "--algorithm", "flow"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("algorithm", ["exact-flow", "lp-round"])
+    def test_infinite_lambda_is_an_input_error(self, algorithm, capsys):
+        code = run_cli(
+            ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "soft", "--b", "1",
+             "--lambda", "inf", "--algorithm", algorithm]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lambda" in err
+
+    def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
+        failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
+        monkeypatch.setattr("deskrisk.soft.solve_lp", lambda lp: failed)
+        code = run_cli(
+            ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "soft", "--b", "1",
+             "--lambda", "0.5", "--algorithm", "lp-round"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "numerical trouble" in err
 
     def test_wrong_variant_algorithm_combo_is_an_input_error(self, capsys):
         code = run_cli(

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_instance
+from conftest import edge_cases, random_instance
 
 from deskrisk import (
     Circulation,
@@ -53,68 +53,102 @@ class TestBuildHardNetwork:
             assert len(net.edges) == inst.m + inst.nnz + inst.n + 1
 
 
+def _generic(edges, num_vertices=2, supply=None):
+    net = FlowNetwork(num_vertices=num_vertices, supply=list(supply or []))
+    for edge in edges:
+        net.add_edge(*edge)
+    return net
+
+
+# General circulation networks that no builder emits.  The solver serves only
+# assignment networks, so each of these is rejected rather than solved.
+GENERIC_NETWORKS = {
+    "no_demands_means_zero_flow": _generic(
+        [(1, 2, 0, 5, 1.0), (2, 3, 0, 5, 2.0), (3, 1, 0, 5, 0.5)], num_vertices=3
+    ),
+    "lower_bound_forces_flow_around_a_cycle": _generic([(1, 2, 2, 4, 1.0), (2, 1, 0, 10, 3.0)]),
+    "supply_form_transport": _generic([(1, 2, 0, 3, 1.5)], supply=[2, -2]),
+    "supply_exceeding_capacity_is_infeasible": _generic([(1, 2, 0, 3, 1.0)], supply=[4, -4]),
+    "cheaper_parallel_route_wins": _generic(
+        [(1, 3, 0, 1, 5.0), (1, 2, 0, 1, 1.0), (2, 3, 0, 1, 1.0)],
+        num_vertices=3,
+        supply=[1, 0, -1],
+    ),
+    "negative_cycle_is_saturated": _generic([(1, 2, 0, 5, -1.0), (2, 1, 0, 3, 0.5)]),
+    "negative_edge_with_lower_bound": _generic([(1, 2, 1, 4, -2.0), (2, 1, 0, 10, 1.0)]),
+    "author_edges_of_differing_cost": _generic(
+        [(1, 3, 0, 2, 0.0), (3, 4, 0, 1, 0.1), (3, 5, 0, 1, 0.2), (4, 2, 1, 1, 0.0),
+         (5, 2, 1, 1, 0.0), (2, 1, 0, 2, 0.0)],
+        num_vertices=5,
+    ),
+}
+
+
+def assignment_network(sources, pairs, n, m):
+    """Network in the builders' layout: source 1, sink 2, authors 3.., papers m+3...
+
+    ``sources`` holds ``(author, capacity, cost)`` edges and ``pairs`` holds
+    ``(author, paper, cost)`` edges, both 1-based.
+    """
+    net = FlowNetwork(num_vertices=m + n + 2)
+    for j, capacity, cost in sources:
+        net.add_edge(1, j + 2, 0, capacity, cost)
+    for j, i, cost in pairs:
+        net.add_edge(j + 2, i + m + 2, 0, 1, cost)
+    for i in range(1, n + 1):
+        net.add_edge(i + m + 2, 2, 1, 1, 0.0)
+    net.add_edge(2, 1, 0, n, 0.0)
+    return net
+
+
+def random_assignment_network(rng):
+    """Random incidence, 1-2 source edges per author, one pair cost per author."""
+    n, m = rng.randint(1, 5), rng.randint(1, 4)
+    sources = [
+        (j, rng.randint(0, 3), rng.uniform(-1.0, 2.0))
+        for j in range(1, m + 1)
+        for _ in range(rng.randint(1, 2))
+    ]
+    pairs = []
+    for j in range(1, m + 1):
+        cost = rng.choice([0.0, 0.5, rng.uniform(-1.0, 1.0)])
+        pairs += [(j, i, cost) for i in sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))]
+    return assignment_network(sources, pairs, n, m)
+
+
 class TestMinCostCirculation:
+    @pytest.mark.parametrize("name", sorted(GENERIC_NETWORKS))
+    def test_generic_networks_are_rejected(self, name):
+        with pytest.raises(MalformedNetworkError):
+            min_cost_circulation(GENERIC_NETWORKS[name])
+
     def test_no_demands_means_zero_flow(self):
-        net = FlowNetwork(num_vertices=3)
-        net.add_edge(1, 2, 0, 5, 1.0)
-        net.add_edge(2, 3, 0, 5, 2.0)
-        net.add_edge(3, 1, 0, 5, 0.5)
-        result = min_cost_circulation(net)
-        assert result == Circulation(flow=(0, 0, 0), cost=0.0)
+        # an assignment network without papers: the zero circulation
+        net = assignment_network([(1, 2, 0.5)], [], n=0, m=1)
+        assert min_cost_circulation(net) == Circulation(flow=(0, 0), cost=0.0)
 
     def test_lower_bound_forces_flow_around_a_cycle(self):
-        net = FlowNetwork(num_vertices=2)
-        net.add_edge(1, 2, 2, 4, 1.0)
-        net.add_edge(2, 1, 0, 10, 3.0)
+        # the paper's [1, 1] sink edge pulls one unit through every layer
+        net = assignment_network([(1, 1, 0.25)], [(1, 1, 0.5)], n=1, m=1)
         result = min_cost_circulation(net)
-        assert result is not None
-        assert result.flow == (2, 2)
-        assert result.cost == pytest.approx(8.0, abs=1e-12)
+        assert result == Circulation(flow=(1, 1, 1, 1), cost=0.75)
         assert check_circulation(net, result) == []
 
-    def test_supply_form_transport(self):
-        net = FlowNetwork(num_vertices=2, supply=[2, -2])
-        net.add_edge(1, 2, 0, 3, 1.5)
-        result = min_cost_circulation(net)
-        assert result is not None
-        assert result.flow == (2,)
-        assert result.cost == pytest.approx(3.0, abs=1e-12)
-
     def test_supply_exceeding_capacity_is_infeasible(self):
-        net = FlowNetwork(num_vertices=2, supply=[4, -4])
-        net.add_edge(1, 2, 0, 3, 1.0)
+        # three papers, one author with two slots in total
+        sources = [(1, 1, 0.0), (1, 1, 3.0)]
+        net = assignment_network(sources, [(1, i, 0.1) for i in (1, 2, 3)], n=3, m=1)
         assert min_cost_circulation(net) is None
 
     def test_cheaper_parallel_route_wins(self):
-        net = FlowNetwork(num_vertices=3, supply=[1, 0, -1])
-        net.add_edge(1, 3, 0, 1, 5.0)
-        net.add_edge(1, 2, 0, 1, 1.0)
-        net.add_edge(2, 3, 0, 1, 1.0)
+        # one author, two parallel source edges: the cheaper fills up first
+        sources = [(1, 3, 5.0), (1, 1, 1.0)]
+        net = assignment_network(sources, [(1, i, 0.0) for i in (1, 2)], n=2, m=1)
         result = min_cost_circulation(net)
         assert result is not None
-        assert result.flow == (0, 1, 1)
-        assert result.cost == pytest.approx(2.0, abs=1e-12)
-
-    def test_negative_cycle_is_saturated(self):
-        # pushing around 1 -> 2 -> 1 gains 0.5 per unit, capped at 3 by the return edge
-        net = FlowNetwork(num_vertices=2)
-        net.add_edge(1, 2, 0, 5, -1.0)
-        net.add_edge(2, 1, 0, 3, 0.5)
-        result = min_cost_circulation(net)
-        assert result is not None
-        assert result.flow == (3, 3)
-        assert result.cost == pytest.approx(-1.5, abs=1e-12)
+        assert result.flow[:2] == (1, 1)
+        assert result.cost == pytest.approx(6.0, abs=1e-12)
         assert check_circulation(net, result) == []
-
-    def test_negative_edge_with_lower_bound(self):
-        # flow k on both edges, k in [1, 4], per-unit cost -2 + 1 = -1: best k = 4
-        net = FlowNetwork(num_vertices=2)
-        net.add_edge(1, 2, 1, 4, -2.0)
-        net.add_edge(2, 1, 0, 10, 1.0)
-        result = min_cost_circulation(net)
-        assert result is not None
-        assert result.flow == (4, 4)
-        assert result.cost == pytest.approx(-4.0, abs=1e-12)
 
     def test_trap_network_cost(self):
         net, _ = build_hard_network(TRAP, b=1)
@@ -152,25 +186,12 @@ class TestMinCostCirculation:
         # equals the integral optimum and doubles as an independent oracle
         rng = random.Random(45)
         feasible = infeasible = 0
-        for trial in range(80):
-            size = rng.randint(2, 6)
-            net = FlowNetwork(num_vertices=size)
-            while not net.edges:
-                for _ in range(rng.randint(2, 12)):
-                    tail, head = rng.randint(1, size), rng.randint(1, size)
-                    if tail == head:
-                        continue
-                    capacity = rng.randint(0, 5)
-                    lower = rng.randint(0, capacity) if rng.random() < 0.3 else 0
-                    net.add_edge(tail, head, lower, capacity, rng.uniform(-2.0, 2.0))
-            if trial % 2:
-                raw = [rng.randint(-1, 1) for _ in range(size - 1)]
-                net.supply = raw + [-sum(raw)]
-
+        for _ in range(80):
+            net = random_assignment_network(rng)
             lp = LinearProgram.minimize([e.cost for e in net.edges])
             lp.lower = [float(e.lower) for e in net.edges]
             lp.upper = [float(e.capacity) for e in net.edges]
-            for v in range(1, size + 1):
+            for v in range(1, net.num_vertices + 1):
                 row = []
                 for k, e in enumerate(net.edges):
                     if e.tail == v:
@@ -221,9 +242,8 @@ class TestSolveHard:
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(43)
         feasible = infeasible = 0
-        for _ in range(120):
-            inst = random_instance(rng)
-            b = rng.choice([1, 2, 3])
+        cases = [(random_instance(rng), rng.choice([1, 2, 3])) for _ in range(120)]
+        for inst, b in cases + edge_cases(rng):
             expected = oracle_hard(inst, b)
             assignment, report = solve_hard(inst, b)
             if expected is None:

@@ -44,6 +44,9 @@ class TestValidate:
         messages = validate(inst)
         assert any("b must be >= 1" in v for v in messages)
         assert any("lambda must be > 0" in v for v in messages)
+        for lam in (float("inf"), float("nan")):
+            inst = Instance(n=1, m=1, authorship=((1, 1),), p=(0.5,), lam=lam)
+            assert any("lambda must be > 0 and finite" in v for v in validate(inst))
 
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_instance
+from conftest import edge_cases, random_instance
 
 from deskrisk import (
     FractionalSolution,
@@ -38,6 +38,9 @@ class TestBuildSoftLp:
         inst = Instance.from_rows([[1]], p=[0.5])
         with pytest.raises(ValueError):
             build_soft_lp(inst, b=1, lam=0.0)
+        for solver in (build_soft_lp, solve_soft_exact):
+            with pytest.raises(ValueError, match="lambda"):
+                solver(inst, b=1, lam=float("inf"))
 
     def test_forced_overload_prices_in(self):
         lp, _, y_vars = build_soft_lp(FORCED, b=1, lam=0.5)
@@ -154,9 +157,8 @@ class TestSolveSoftExact:
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(67)
-        for _ in range(80):
-            inst = random_instance(rng)
-            b = rng.choice([1, 2, 3])
+        cases = [(random_instance(rng), rng.choice([1, 2, 3])) for _ in range(80)]
+        for inst, b in cases + edge_cases(rng):
             lam = rng.choice([0.1, 1.0, 10.0])
             _, expected = oracle_soft(inst, b, lam)
             _, report = solve_soft_exact(inst, b, lam)
@@ -179,3 +181,11 @@ class TestSolveSoftExact:
             _, exact_report = solve_soft_exact(inst, b=inst.n, lam=1.0)
             _, greedy_report = greedy_assign_basic(inst)
             assert exact_report.objective == pytest.approx(greedy_report.objective, abs=1e-9)
+
+    def test_slots_are_ordered_by_exact_weight(self):
+        # Author 1's priced slot weighs 2**-60 + 0.5, which rounds to 0.5, the
+        # weight of author 2's free slot.  Only the exact order gives paper 2
+        # to author 2; the oracle's float sums tie and cannot tell the two apart.
+        inst = Instance.from_rows([[1], [1, 2]], p=[2**-60, 0.5])
+        assignment, _ = solve_soft_exact(inst, b=1, lam=0.5)
+        assert assignment.nominee == (1, 2)
