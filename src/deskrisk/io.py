@@ -9,6 +9,10 @@ Instance JSON (``"format": 1``)::
 indices are 1-based.  Assignment JSON is ``{"format": 1, "nominee": [...]}``
 and report JSON mirrors the :class:`~deskrisk.instance.SolveReport` fields.
 
+Loaders accept strict JSON only: the ``NaN``, ``Infinity`` and ``-Infinity``
+tokens that Python's :mod:`json` allows by default raise :class:`FormatError`,
+and :func:`dumps` refuses to write non-finite numbers.
+
 Loaders check shape (types, version) and raise :class:`FormatError`;
 semantic checks such as "every paper has an author" stay in
 :func:`deskrisk.instance.validate`, so callers can report every violation
@@ -44,6 +48,16 @@ def _int_field(obj: dict, key: str, kind: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"{kind}: field {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _loads(path: str | Path, kind: str) -> Any:
+    def reject(token: str) -> None:
+        raise FormatError(f"{kind}: non-finite number {token} in {path} is not valid JSON")
+
+    try:
+        return json.loads(Path(path).read_text(), parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{kind}: invalid JSON in {path}: {exc}") from exc
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
@@ -92,11 +106,7 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"instance: invalid JSON in {path}: {exc}") from exc
-    return instance_from_dict(obj)
+    return instance_from_dict(_loads(path, "instance"))
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:
@@ -118,11 +128,7 @@ def assignment_from_dict(obj: dict[str, Any]) -> Assignment:
 
 
 def load_assignment(path: str | Path) -> Assignment:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"assignment: invalid JSON in {path}: {exc}") from exc
-    return assignment_from_dict(obj)
+    return assignment_from_dict(_loads(path, "assignment"))
 
 
 def save_assignment(assignment: Assignment, path: str | Path) -> None:
@@ -174,8 +180,11 @@ def report_from_dict(obj: dict[str, Any]) -> SolveReport:
 
 
 def dumps(obj: dict[str, Any]) -> str:
-    """Canonical JSON text: two-space indent, insertion key order, newline at end."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Canonical JSON text: two-space indent, insertion key order, newline at end.
+
+    Raises ``ValueError`` on a NaN or infinite float, which strict JSON cannot hold.
+    """
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def load_instance_csv(

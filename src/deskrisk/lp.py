@@ -5,20 +5,27 @@ what this module owns is the sparse problem description, the translation to
 solver form, and an independent certification pass: every reported optimum is
 re-checked for primal feasibility (1e-9) and for a duality gap under 1e-7
 computed from the returned marginals.  A point that fails certification comes
-back with an Error status rather than being trusted.
+back with an Error status rather than being trusted; so does one whose
+residual or gap is NaN.
+
+numpy and scipy are imported inside :func:`solve_lp` and its helpers, not at
+module level.  Building a :class:`LinearProgram` needs only the standard
+library, and importing scipy costs most of a second, so the greedy, flow,
+oracle and validate paths (and ``import deskrisk``) never pay for it; the LP
+routes pay once, at their first solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING, Literal
 
 from .instance import Instance, require_valid, resolve_limits
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
@@ -73,11 +80,16 @@ class LinearProgram:
             raise ValueError("objective length does not match num_vars")
         if len(self.lower) != self.num_vars or len(self.upper) != self.num_vars:
             raise ValueError("bound vectors do not match num_vars")
-        for lo, up in zip(self.lower, self.upper):
-            if not np.isfinite(lo):
-                raise ValueError(f"lower bounds must be finite, got {lo}")
-            if up is not None and lo > up:
-                raise ValueError(f"bounds require lower <= upper, got [{lo}, {up}]")
+        for k, (c, lo, up) in enumerate(zip(self.objective, self.lower, self.upper)):
+            if not math.isfinite(c):
+                raise ValueError(f"objective coefficient of variable {k} must be finite, got {c}")
+            if not math.isfinite(lo):
+                raise ValueError(f"lower bound of variable {k} must be finite, got {lo}")
+            # Written so that a NaN upper bound fails the test too.
+            if up is not None and not lo <= up:
+                raise ValueError(
+                    f"bounds of variable {k} require lower <= upper, got [{lo}, {up}]"
+                )
         for row, _ in self.eq_rows:
             self._check_row(row)
         for row, _, sense in self.ineq_rows:
@@ -101,6 +113,8 @@ class LpSolution:
 
 
 def _to_csr(rows: list[SparseRow], num_vars: int) -> csr_matrix:
+    from scipy.sparse import csr_matrix
+
     data: list[float] = []
     indices: list[int] = []
     indptr = [0]
@@ -123,6 +137,9 @@ def solve_lp(
     backend fails numerically or the certification check rejects its answer.
     """
     lp.check()
+    import numpy as np
+    from scipy.optimize import linprog
+
     c = np.asarray(lp.objective, dtype=float)
     bounds = list(zip(lp.lower, lp.upper))
 
@@ -162,50 +179,59 @@ def solve_lp(
         return LpSolution(status=LpStatus.ERROR, message=result.message)
 
     x = np.asarray(result.x, dtype=float)
-    problem = _residuals(lp, x, a_eq, b_eq, a_ub, b_ub, feasibility_tol)
+    lower = np.asarray(lp.lower, dtype=float)
+    upper = np.array([math.inf if up is None else up for up in lp.upper], dtype=float)
+    problem = _residuals(x, lower, upper, a_eq, b_eq, a_ub, b_ub, feasibility_tol)
     if problem:
         return LpSolution(status=LpStatus.ERROR, message=problem)
-    gap = _duality_gap(lp, result, b_eq, b_ub)
-    if gap > optimality_tol:
+    gap = _duality_gap(result, lower, upper, b_eq, b_ub)
+    # Every certificate test is "passes only if <= tol", so a NaN fails it.
+    if not gap <= optimality_tol:
         return LpSolution(
             status=LpStatus.ERROR,
             message=f"duality gap {gap:.3e} exceeds {optimality_tol:.1e}",
         )
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        values=tuple(float(v) for v in x),
+        values=tuple(x.tolist()),
         objective=float(result.fun),
         duality_gap=gap,
     )
 
 
-def _residuals(lp, x, a_eq, b_eq, a_ub, b_ub, tol) -> str:
+def _residuals(x, lower, upper, a_eq, b_eq, a_ub, b_ub, tol) -> str:
+    import numpy as np
+
     if a_eq is not None:
         worst = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
-        if worst > tol:
+        if not worst <= tol:
             return f"equality residual {worst:.3e} exceeds {tol:.1e}"
     if a_ub is not None:
         worst = float(np.max(a_ub @ x - b_ub, initial=0.0))
-        if worst > tol:
+        if not worst <= tol:
             return f"inequality violation {worst:.3e} exceeds {tol:.1e}"
-    for k, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        if x[k] < lo - tol or (up is not None and x[k] > up + tol):
-            return f"variable {k} value {x[k]!r} violates bounds [{lo}, {up}]"
+    # An unbounded-above variable has upper = inf, which every finite x meets.
+    outside = ~((x >= lower - tol) & (x <= upper + tol))
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        return f"variable {k} value {float(x[k])!r} violates bounds [{lower[k]}, {upper[k]}]"
     return ""
 
 
-def _duality_gap(lp, result, b_eq, b_ub) -> float:
-    dual = 0.0
-    if b_eq is not None:
-        dual += float(np.asarray(result.eqlin.marginals) @ b_eq)
-    if b_ub is not None:
-        dual += float(np.asarray(result.ineqlin.marginals) @ b_ub)
-    z_lower = np.asarray(result.lower.marginals)
-    z_upper = np.asarray(result.upper.marginals)
-    for k, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        dual += z_lower[k] * lo
-        if up is not None:
-            dual += z_upper[k] * up
+def _duality_gap(result, lower, upper, b_eq, b_ub) -> float:
+    import numpy as np
+
+    # A variable without an upper bound (None, stored as inf) adds no term.
+    bounded = np.isfinite(upper)
+    terms = [
+        (result.eqlin.marginals, b_eq),
+        (result.ineqlin.marginals, b_ub),
+        (result.lower.marginals, lower),
+        (np.asarray(result.upper.marginals)[bounded], upper[bounded]),
+    ]
+    # Multiply-and-sum rather than ``@``: a threaded BLAS dot over ~30k
+    # entries took 8 ms against 0.04 ms on a 2-vCPU machine.
+    dual = sum(float(np.sum(np.asarray(y) * rhs)) for y, rhs in terms if rhs is not None)
     return abs(float(result.fun) - dual)
 
 

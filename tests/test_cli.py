@@ -18,6 +18,34 @@ from deskrisk.cli import run_cli
 
 SRC = FIXTURES.parent / "src"
 
+# Imports a module, optionally runs the CLI, then prints the exit code and
+# every numpy/scipy top-level package left in sys.modules to stderr.
+IMPORT_PROBE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+from deskrisk.cli import run_cli
+code = run_cli(sys.argv[2:]) if sys.argv[2:] else 0
+heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+print(code, *heavy, file=sys.stderr)
+"""
+
+
+def src_env():
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_probe(module, argv=()):
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, module, *argv],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, *heavy = result.stderr.splitlines()[-1].split()
+    return int(code), heavy
+
 
 def read_report(path):
     return json.loads(path.read_text())
@@ -43,17 +71,50 @@ class TestValidateCommand:
         "name, code, out", [("frac_2x2.json", 0, "ok\n"), ("no-such-file.json", 1, "")]
     )
     def test_module_entry_point(self, name, code, out):
-        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
         result = subprocess.run(
             [sys.executable, "-m", "deskrisk.cli", "validate", str(FIXTURES / name)],
-            env=env,
+            env=src_env(),
             capture_output=True,
             text=True,
         )
         assert result.returncode == code
         assert result.stdout == out
         assert "Traceback" not in result.stderr
+
+
+class TestImportBoundary:
+    """Only the LP routes may load numpy and scipy; the rest stay stdlib-only."""
+
+    FRAC = str(FIXTURES / "frac_2x2.json")
+
+    @pytest.mark.parametrize("module", ["deskrisk", "deskrisk.cli"])
+    def test_import_loads_no_numpy_or_scipy(self, module):
+        assert run_probe(module) == (0, [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["solve", "--variant", "basic", "--algorithm", "greedy"],
+            ["solve", "--variant", "hard", "--b", "1", "--algorithm", "flow"],
+            ["solve", "--variant", "soft", "--b", "1", "--lambda", "0.5",
+             "--algorithm", "exact-flow"],
+            ["oracle", "--variant", "hard", "--b", "1"],
+        ],
+        ids=["validate", "greedy", "flow", "exact-flow", "oracle"],
+    )
+    def test_non_lp_routes_load_no_numpy_or_scipy(self, argv, tmp_path):
+        argv = [argv[0], self.FRAC, *argv[1:]]
+        if argv[0] != "validate":
+            argv += ["-o", str(tmp_path / "report.json")]
+        assert run_probe("deskrisk.cli", argv) == (0, [])
+
+    def test_lp_route_still_loads_scipy(self, tmp_path):
+        argv = ["solve", self.FRAC, "--variant", "hard", "--b", "1", "--algorithm", "lp",
+                "-o", str(tmp_path / "report.json")]
+        code, heavy = run_probe("deskrisk.cli", argv)
+        assert code == 0
+        assert "scipy" in heavy
 
 
 class TestGenCommand:
@@ -187,6 +248,20 @@ class TestSolveCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lambda" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("lambda", float("inf")), ("p", [float("nan"), 0.5])]
+    )
+    def test_non_finite_json_token_is_an_input_error(self, tmp_path, capsys, field, value):
+        obj = json.loads((FIXTURES / "frac_2x2.json").read_text())
+        obj[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(obj))  # writes the Infinity / NaN tokens
+        code = run_cli(["solve", str(path), "--variant", "soft", "--b", "1",
+                        "--algorithm", "exact-flow"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite number" in err
 
     def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
         failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")

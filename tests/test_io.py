@@ -64,6 +64,10 @@ class TestInstanceJson:
             {"p": "half"},
             {"b": 1.5},
             {"lambda": "heavy"},
+            # json.dumps writes these as the non-standard Infinity/NaN tokens.
+            {"lambda": float("inf")},
+            {"lambda": float("-inf")},
+            {"p": [float("nan")]},
         ],
     )
     def test_malformed_fields_are_rejected(self, tmp_path, mutation):
@@ -117,6 +121,18 @@ class TestAssignmentAndReportJson:
         assert obj["status"] == "Infeasible"
         assert obj["objective"] is None
         assert obj["loads"] is None
+
+    def test_nan_nominee_token_is_rejected(self, tmp_path):
+        path = tmp_path / "assignment.json"
+        path.write_text('{"format": 1, "nominee": [1, NaN]}')
+        with pytest.raises(FormatError, match="assignment: non-finite number NaN"):
+            load_assignment(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_dumps_refuses_non_finite_numbers(self, value):
+        report = SolveReport(status=SolveStatus.OPTIMAL, objective=value, solver="x")
+        with pytest.raises(ValueError):
+            dumps(report_to_dict(report))
 
     def test_dumps_is_stable(self):
         report = SolveReport(status=SolveStatus.OPTIMAL, objective=1.0, solver="x")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -57,13 +58,87 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             solve_lp(lp)
 
+    def test_nan_upper_bound_is_rejected(self):
+        lp = LinearProgram.minimize([1.0])
+        lp.upper = [float("nan")]
+        lp.add_eq([(0, 1.0)], 1.0)
+        with pytest.raises(ValueError, match="variable 0"):
+            solve_lp(lp)
+
+    @pytest.mark.parametrize("coeff", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_objective_is_rejected(self, coeff):
+        lp = LinearProgram.minimize([1.0, coeff])
+        with pytest.raises(ValueError, match="objective coefficient of variable 1"):
+            solve_lp(lp)
+
     def test_certification_reports_a_gap(self):
         lp = LinearProgram.minimize([1.0, 2.0])
         lp.upper = [1.0, 1.0]
         lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
         solution = solve_lp(lp)
-        assert solution.duality_gap is not None
+        assert type(solution.duality_gap) is float
         assert solution.duality_gap <= 1e-7
+
+    @staticmethod
+    def corrupt_backend(monkeypatch, corrupt):
+        import scipy.optimize
+
+        real = scipy.optimize.linprog
+
+        def linprog(*args, **kwargs):
+            result = real(*args, **kwargs)
+            corrupt(result)
+            return result
+
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+
+    @staticmethod
+    def two_variable_program():
+        lp = LinearProgram.minimize([1.0, 2.0])
+        lp.upper = [1.0, None]
+        lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
+        lp.add_ineq([(0, 1.0)], 0.5, "<=")
+        return lp
+
+    @pytest.mark.parametrize("part", ["eqlin", "ineqlin", "lower", "upper"])
+    def test_nan_marginals_fail_certification(self, monkeypatch, part):
+        def corrupt(result):
+            result[part].marginals = [math.nan] * len(result[part].marginals)
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        solution = solve_lp(self.two_variable_program())
+        assert solution.status is LpStatus.ERROR
+        assert "duality gap nan" in solution.message
+
+    def test_unbounded_variable_adds_no_upper_term(self, monkeypatch):
+        def corrupt(result):
+            result.upper.marginals[1] = math.nan
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        solution = solve_lp(self.two_variable_program())
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.objective == pytest.approx(1.5, abs=1e-7)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_nan_primal_value_fails_certification(self, monkeypatch, k):
+        def corrupt(result):
+            result.x[k] = math.nan
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        solution = solve_lp(self.two_variable_program())
+        assert solution.status is LpStatus.ERROR
+        assert "residual nan" in solution.message
+
+    def test_nan_value_fails_the_bounds_check(self, monkeypatch):
+        def corrupt(result):
+            result.x[0] = math.nan
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        lp = LinearProgram.minimize([1.0])
+        lp.upper = [1.0]
+        solution = solve_lp(lp)
+        assert solution.status is LpStatus.ERROR
+        assert "variable 0 value nan violates bounds" in solution.message
 
 
 class TestBuildHardLp:
