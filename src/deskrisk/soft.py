@@ -8,6 +8,12 @@ the overload variables carry positive cost, any optimum pins them to
 before returning.  A per-paper argmax then rounds the relaxed solution to a
 valid assignment.
 
+Both this program and the hard relaxation are totally unimodular: the
+paper and author rows form the incidence matrix of a bipartite graph, and
+each overload variable adds a unit column.  Every vertex is therefore
+integral and rounds without loss, so a ``gap > 0`` can only come from a
+backend answer that is not a vertex.
+
 :func:`solve_soft_exact` sidesteps the relaxation entirely: the penalty's
 two slopes become two source edges per author (free up to ``b``, cost
 ``lam`` beyond), so an author's first ``b`` nomination slots weigh ``p_j``

@@ -1,17 +1,24 @@
 import math
 import random
+import re
 
 import pytest
-from conftest import FIXTURES, random_instance
+from conftest import FIXTURES, edge_cases, random_instance
 
 from deskrisk import (
+    GeneratorSpec,
     Instance,
     LinearProgram,
     LpStatus,
     build_hard_lp,
+    build_soft_lp,
+    generate,
     load_instance,
     oracle_hard,
+    solve_hard,
     solve_lp,
+    solve_soft,
+    solve_soft_exact,
 )
 
 
@@ -71,6 +78,45 @@ class TestSolveLp:
         with pytest.raises(ValueError, match="objective coefficient of variable 1"):
             solve_lp(lp)
 
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ([("eq", [(0, 1.0), (-1, 1.0)], None)], "row references variable -1, have 2"),
+            ([("ineq", [(1, 1.0), (2, 1.0)], ">=")], "row references variable 2, have 2"),
+            ([("ineq", [(0, 1.0)], "==")], "unknown sense '=='"),
+            # Rows are checked in order, each row's variables before its sense.
+            ([("ineq", [(5, 1.0)], "<="), ("ineq", [(0, 1.0)], "==")], "variable 5"),
+            ([("ineq", [(0, 1.0)], "=="), ("ineq", [(5, 1.0)], "<=")], "unknown sense"),
+            ([("ineq", [(5, 1.0)], "==")], "variable 5"),
+            ([("ineq", [(0, 1.0)], "=="), ("eq", [(5, 1.0)], None)], "variable 5"),
+        ],
+    )
+    def test_malformed_rows_name_the_first_fault(self, rows, message):
+        lp = LinearProgram.minimize([1.0, 1.0])
+        for kind, row, sense in rows:
+            if kind == "eq":
+                lp.add_eq(row, 1.0)
+            else:
+                lp.add_ineq(row, 1.0, sense)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lp.check()
+
+    def test_first_malformed_variable_is_named(self):
+        lp = LinearProgram.minimize([1.0, float("nan")])
+        lp.lower = [-math.inf, 0.0]
+        with pytest.raises(ValueError, match="lower bound of variable 0 must be finite"):
+            lp.check()
+
+    def test_mixed_senses(self):
+        # min x0 + x1 with x0 >= 0.25, x1 >= 0.5 and x0 + x1 <= 2
+        lp = LinearProgram.minimize([1.0, 1.0])
+        lp.add_ineq([(0, 1.0)], 0.25, ">=")
+        lp.add_ineq([(0, 1.0), (1, 1.0)], 2.0, "<=")
+        lp.add_ineq([(1, 1.0)], 0.5, ">=")
+        solution = solve_lp(lp)
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.values == pytest.approx((0.25, 0.5), abs=1e-9)
+
     def test_certification_reports_a_gap(self):
         lp = LinearProgram.minimize([1.0, 2.0])
         lp.upper = [1.0, 1.0]
@@ -128,6 +174,15 @@ class TestSolveLp:
         solution = solve_lp(self.two_variable_program())
         assert solution.status is LpStatus.ERROR
         assert "residual nan" in solution.message
+
+    def test_iterations_are_none_when_the_backend_omits_them(self, monkeypatch):
+        def corrupt(result):
+            del result["nit"]
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        solution = solve_lp(self.two_variable_program())
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.iterations is None
 
     def test_nan_value_fails_the_bounds_check(self, monkeypatch):
         def corrupt(result):
@@ -220,3 +275,56 @@ class TestFractionalOptima:
             if solution.status is not LpStatus.OPTIMAL:
                 continue
             self.evaluate(inst, lp, list(solution.values))
+
+
+def exact_cases() -> list[tuple[Instance, int]]:
+    """Mid-size generated instances (b * m close to n) plus the conftest edge cases."""
+    cases = [
+        (generate(GeneratorSpec(n=300, m=75, authors_min=1, authors_max=5, seed=seed)), b)
+        for seed, b in ((1, 4), (2, 5), (3, 4), (4, 6))
+    ]
+    return cases + edge_cases(random.Random(58))
+
+
+def near_integer(value: float) -> bool:
+    return abs(value - round(value)) <= 1e-9
+
+
+class TestAssignmentVertices:
+    """Both relaxations are totally unimodular, so a simplex answer is an integral vertex."""
+
+    @pytest.mark.parametrize(("soft", "budget"), [(False, 9_000), (True, 6_000)])
+    def test_conference_lps_certify_within_an_iteration_budget(self, soft, budget):
+        # Dual simplex with devex pricing takes 6,043 (hard) and 3,679 (soft)
+        # iterations here; HiGHS's default pricing takes 11,422 and 11,909.
+        inst = generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=42))
+        lp = build_soft_lp(inst, 5, 0.3)[0] if soft else build_hard_lp(inst, 5)[0]
+        solution = solve_lp(lp)
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.iterations < budget
+
+    def test_hard_vertex_is_integral_and_exact(self):
+        for inst, b in exact_cases():
+            solution = solve_lp(build_hard_lp(inst, b)[0])
+            assignment, report = solve_hard(inst, b)
+            if assignment is None:
+                assert solution.status is LpStatus.INFEASIBLE
+                continue
+            assert solution.status is LpStatus.OPTIMAL
+            assert all(near_integer(v) and round(v) in (0, 1) for v in solution.values)
+            assert math.isclose(solution.objective, report.objective, rel_tol=1e-9, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 2.0])
+    def test_soft_vertex_is_integral_and_rounds_without_gap(self, lam):
+        for inst, b in exact_cases():
+            lp, pair_vars, y_vars = build_soft_lp(inst, b, lam)
+            solution = solve_lp(lp)
+            assert solution.status is LpStatus.OPTIMAL
+            x = [solution.values[k] for k in pair_vars.values()]
+            assert all(near_integer(v) and round(v) in (0, 1) for v in x)
+            assert all(near_integer(solution.values[k]) for k in y_vars.values())
+
+            _, rounded = solve_soft(inst, b, lam)
+            _, exact = solve_soft_exact(inst, b, lam)
+            assert math.isclose(rounded.lp_bound, exact.objective, rel_tol=1e-9, abs_tol=1e-12)
+            assert math.isclose(rounded.gap, 0.0, abs_tol=1e-9 * max(1.0, exact.objective))
