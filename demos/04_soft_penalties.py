@@ -8,8 +8,9 @@ between "ignore the cap" and "respect it whenever possible".
 The pipeline: linearize the penalty with one overload variable per author,
 solve the LP, round each paper to its largest fractional weight.  The LP
 optimum is a certified lower bound, so the rounding gap is measurable; an
-exact solver (the same author-slot greedy as the hard cap) shows how small
-that gap actually is.
+exact solver (the same author-slot greedy as the hard cap, run on the
+instance itself rather than on the two-slope network of the paper's
+reduction) shows how small that gap actually is.
 """
 
 from deskrisk import (

@@ -4,8 +4,9 @@ A large AI venue sees authorship incidences on the order of ten thousand.
 This script generates an instance of that size (2000 papers, 500 authors,
 3-7 authors per paper), runs every solver once, and prints wall-clock
 timings plus the objective ladder: greedy (no cap) <= soft <= hard.  Both
-exact solvers (hard cap, soft exact) run the same author-slot greedy on an
-assignment network; the soft pipeline goes through the LP instead.
+exact solvers (hard cap, soft exact) run the same author-slot greedy
+straight on the instance, without building the assignment network of the
+paper's reduction; the soft pipeline goes through the LP instead.
 
 Pass --quick to shrink the instance for a fast smoke run.
 """

@@ -11,8 +11,10 @@ Three problem variants over the same instance data:
   (:func:`solve_soft` relaxes and rounds, :func:`solve_soft_exact` is the
   integral optimum).
 
-Both exact solvers run one author-slot greedy (:func:`min_cost_circulation`)
-on an assignment network; see :mod:`deskrisk.flow` for why it is exact.
+Both exact solvers run one author-slot greedy straight on the instance; see
+:mod:`deskrisk.flow` for why it is exact.  The assignment networks of the
+paper's reduction (:func:`build_hard_network`, :func:`build_soft_network`)
+are solved by the same greedy through :func:`min_cost_circulation`.
 
 Brute-force oracles and the one-pass baselines live alongside the real
 solvers so every answer can be cross-checked on small instances.

@@ -1,9 +1,12 @@
-"""Assignment networks and the author-slot solver behind both exact variants.
+"""The author-slot solver behind both exact variants, and the networks it solves.
 
 :func:`build_hard_network` and :func:`build_soft_network` pose the
 nomination problem as a circulation on a four-layer network (source,
-authors, papers, sink, plus a return edge), and
-:func:`min_cost_circulation` solves exactly these networks.
+authors, papers, sink, plus a return edge): the paper's reduction.
+:func:`solve_hard` and :func:`solve_soft_exact` do not build it: they run
+the greedy below straight on the instance's author-to-papers lists.
+:func:`min_cost_circulation` solves a built network by renumbering its
+layers onto the same greedy, so the two routes give the same nominees.
 
 Each unit of source capacity into an author is a *slot*.  All of an
 author's paper edges cost the same, so a slot's weight (its source edge's
@@ -14,14 +17,14 @@ take slots in ascending weight and keep each one that an alternating search
 from its author (author, incident paper, that paper's holder, ...) can
 extend to an unassigned paper.  A failed search proves that no author it
 visited can ever gain a paper, so those authors are skipped from then on.
-Weights are compared as exact rationals, and every flow value is an integer.
+Weights are compared exactly, and every flow value is an integer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import itemgetter
 
 from .instance import (
     Assignment,
@@ -158,74 +161,116 @@ def min_cost_circulation(network: FlowNetwork) -> Circulation | None:
     Only networks shaped like the builders' output are solved: no supplies,
     source edges into authors, ``[0, 1]`` author-to-paper edges sharing one
     cost per author, one ``[1, 1]`` edge from each paper into the sink, and
-    one return edge.  Any other raises :class:`MalformedNetworkError`.
+    one return edge.  Any other raises :class:`MalformedNetworkError`.  The
+    layers are renumbered onto the dense ids of :func:`_fill_slots`, the core
+    the exact solvers run on the instance itself.
     """
     _validate_network(network)
     source, sink_edges, incident, cost, back = _assignment_layers(network)
     edges = network.edges
+    paper_id = {paper: i for i, paper in enumerate(sink_edges)}
+    authors = dict.fromkeys([edges[k].head for k in source] + list(incident))
+    author_id = {author: a for a, author in enumerate(authors)}
+    papers_of: list[list[int]] = [[] for _ in author_id]
+    pair_edge: dict[tuple[int, int], int] = {}  # (author id, paper id) -> first edge
+    for author, arcs in incident.items():
+        a = author_id[author]
+        for paper, k in arcs:
+            papers_of[a].append(paper_id[paper])
+            pair_edge.setdefault((a, paper_id[paper]), k)
+    # a stable sort: equal weights keep edge order
     slots = sorted(
-        source,
-        key=lambda k: (Fraction(edges[k].cost) + Fraction(cost.get(edges[k].head, 0.0)), k),
+        source, key=lambda k: _exact(edges[k].cost) + _exact(cost.get(edges[k].head, 0.0))
     )
-    papers = len(sink_edges)
-    holder: dict[int, tuple[int, int]] = {}  # paper vertex -> (author, edge)
-    dead: set[int] = set()
-    flow = [0] * len(edges)
-    for k in slots:
-        author = edges[k].head
-        while (
-            flow[k] < edges[k].capacity
-            and len(holder) < papers
-            and _augment(author, incident, holder, dead)
-        ):
-            flow[k] += 1
-    if len(holder) < papers:
+    filled = _fill_slots(
+        papers_of, len(paper_id), [(author_id[edges[k].head], edges[k].capacity) for k in slots]
+    )
+    if filled is None:
         return None
-    for _, k in holder.values():
-        flow[k] = 1
+    holder, counts = filled
+    flow = [0] * len(edges)
+    for k, count in zip(slots, counts):
+        flow[k] = count
+    for paper, a in enumerate(holder):
+        flow[pair_edge[a, paper]] = 1
     for k in sink_edges.values():
         flow[k] = 1
-    flow[back] = papers
+    flow[back] = len(holder)
     total = 0.0
     for e, f in zip(edges, flow):
         total += e.cost * f
     return Circulation(flow=tuple(flow), cost=total)
 
 
-def _augment(
-    start: int,
-    incident: dict[int, list[tuple[int, int]]],
-    holder: dict[int, tuple[int, int]],
-    dead: set[int],
-) -> bool:
+def _exact(cost: float) -> int:
+    """``cost * 2**1074`` as an integer.
+
+    Every finite float is a whole multiple of ``2**-1074``, so sums and
+    comparisons of these are exact, as with ``Fraction`` but without its cost.
+    """
+    numerator, denominator = cost.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
+
+
+def _fill_slots(
+    papers_of: list[list[int]], papers: int, slots: list[tuple[int, int]]
+) -> tuple[list[int], list[int]] | None:
+    """The author-slot greedy over dense ids; ``None`` if some paper stays unassigned.
+
+    Authors and papers are numbered from 0.  ``papers_of[a]`` lists author
+    ``a``'s papers in search order, and ``slots`` holds ``(author,
+    capacity)`` in ascending weight.  Each slot takes papers while an
+    augmenting search from its author succeeds.  Returns each paper's
+    holder and how many papers each slot took.
+    """
+    holder = [-1] * papers
+    dead = [False] * len(papers_of)
+    counts: list[int] = []
+    assigned = 0
+    for author, capacity in slots:
+        count = 0
+        while (
+            count < capacity
+            and assigned < papers
+            and _augment(author, papers_of, holder, dead)
+        ):
+            count += 1
+            assigned += 1
+        counts.append(count)
+    if assigned < papers:
+        return None
+    return holder, counts
+
+
+def _augment(start: int, papers_of: list[list[int]], holder: list[int], dead: list[bool]) -> bool:
     """Give ``start`` one more paper, moving held papers along an alternating path.
 
     Breadth-first from ``start``: an incident paper is either unassigned,
     which ends the search, or held by an author who may take another paper
     instead.  A failed search marks every author it visited as dead.
     """
-    if start in dead:
+    if dead[start]:
         return False
-    gives_up: dict[int, int | None] = {start: None}  # reached author -> paper it yields
-    via: dict[int, tuple[int, int]] = {}  # reached paper -> (author, edge) reaching it
+    gives_up = {start: -1}  # reached author -> paper it yields
+    via: dict[int, int] = {}  # reached paper -> author reaching it
     queue = [start]
     for author in queue:
-        for paper, k in incident.get(author, ()):
+        for paper in papers_of[author]:
             if paper in via:
                 continue
-            via[paper] = (author, k)
-            held = holder.get(paper)
-            if held is None:
-                step: int | None = paper
-                while step is not None:
+            via[paper] = author
+            other = holder[paper]
+            if other < 0:
+                step = paper
+                while step >= 0:
                     holder[step] = via[step]
-                    step = gives_up[via[step][0]]
+                    step = gives_up[via[step]]
                 return True
-            other = held[0]
-            if other not in gives_up and other not in dead:
+            if other not in gives_up and not dead[other]:
                 gives_up[other] = paper
                 queue.append(other)
-    dead.update(gives_up)
+    for author in gives_up:
+        dead[author] = True
     return False
 
 
@@ -302,6 +347,33 @@ def solve_network(
     return assignment_from_pairs(instance, pair_edges, circulation.flow)
 
 
+def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignment | None:
+    """The author-slot greedy on the instance itself; ``None`` if no assignment fits.
+
+    Author ``j`` gets ``b`` slots of weight ``p_j`` and, when ``lam`` is
+    given, ``n`` more of weight ``p_j + lam``.  Equal weights keep the order
+    of the builders' source edges (author ``j`` ascending, the free slot
+    first), and each author's papers are searched in ascending order, so the
+    answer is the one :func:`min_cost_circulation` reads off the network.
+    ``b`` and ``lam`` must already be resolved and the instance valid.
+    """
+    papers_of: list[list[int]] = [[] for _ in range(instance.m)]
+    for i, j in instance.authorship:
+        papers_of[j - 1].append(i - 1)
+    slots: list[tuple[int, int, int]] = []  # (weight, author, capacity)
+    extra = None if lam is None else _exact(lam)
+    for author, p in enumerate(instance.p):
+        weight = _exact(p)
+        slots.append((weight, author, b))
+        if extra is not None:
+            slots.append((weight + extra, author, instance.n))
+    slots.sort(key=itemgetter(0))
+    filled = _fill_slots(papers_of, instance.n, [(author, cap) for _, author, cap in slots])
+    if filled is None:
+        return None
+    return Assignment(nominee=tuple(author + 1 for author in filled[0]))
+
+
 def solve_hard(
     instance: Instance, b: int | None = None
 ) -> tuple[Assignment | None, SolveReport]:
@@ -310,8 +382,9 @@ def solve_hard(
     Returns ``(None, report)`` with an Infeasible status when no assignment
     keeps every author within the limit.
     """
-    network, pair_edges = build_hard_network(instance, b)
-    assignment = solve_network(instance, network, pair_edges)
+    require_valid(instance)
+    b, _ = resolve_limits(instance, b)
+    assignment = _assign_by_slots(instance, b, None)
     if assignment is None:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-flow")
     return assignment, report_for(instance, assignment, "hard-flow")

@@ -94,6 +94,11 @@ class Instance:
         """The authorship pairs as a set, for membership tests."""
         return frozenset(self.authorship)
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """What :func:`validate` reports, found once per instance since it is frozen."""
+        return tuple(_find_violations(self))
+
     @property
     def nnz(self) -> int:
         return len(self.authorship)
@@ -150,17 +155,23 @@ def validate(instance: Instance) -> list[str]:
 
     Violations are data, not exceptions: each entry names the offending
     paper/author index.  Duplicate authorship pairs are reported rather than
-    deduplicated, to surface data errors.
+    deduplicated, to surface data errors.  The check runs once per instance;
+    each call returns a fresh list.
     """
+    return list(instance._violations)
+
+
+def _find_violations(instance: Instance) -> list[str]:
+    n, m = instance.n, instance.m
     violations: list[str] = []
-    if instance.n < 1:
-        violations.append(f"n must be a positive integer, got {instance.n}")
-    if instance.m < 1:
-        violations.append(f"m must be a positive integer, got {instance.m}")
+    if n < 1:
+        violations.append(f"n must be a positive integer, got {n}")
+    if m < 1:
+        violations.append(f"m must be a positive integer, got {m}")
     seen: set[tuple[int, int]] = set()
-    covered = [False] * max(instance.n, 0)
+    covered = [False] * max(n, 0)
     for i, j in instance.authorship:
-        if not (1 <= i <= instance.n) or not (1 <= j <= instance.m):
+        if not (1 <= i <= n) or not (1 <= j <= m):
             violations.append(f"authorship pair ({i}, {j}) out of range")
             continue
         if (i, j) in seen:
@@ -170,8 +181,8 @@ def validate(instance: Instance) -> list[str]:
     for i, ok in enumerate(covered, start=1):
         if not ok:
             violations.append(f"paper {i} has no authors")
-    if len(instance.p) != instance.m:
-        violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
+    if len(instance.p) != m:
+        violations.append(f"p has length {len(instance.p)}, expected m={m}")
     for j, pj in enumerate(instance.p, start=1):
         if not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
@@ -187,7 +198,7 @@ def _positive_finite(value: float) -> bool:
 
 
 def require_valid(instance: Instance) -> None:
-    violations = validate(instance)
+    violations = instance._violations
     if violations:
         raise InvalidInstanceError("; ".join(violations))
 

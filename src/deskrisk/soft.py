@@ -15,18 +15,19 @@ integral and rounds without loss, so a ``gap > 0`` can only come from a
 backend answer that is not a vertex.
 
 :func:`solve_soft_exact` sidesteps the relaxation entirely: the penalty's
-two slopes become two source edges per author (free up to ``b``, cost
-``lam`` beyond), so an author's first ``b`` nomination slots weigh ``p_j``
-and the rest ``p_j + lam``, and the author-slot greedy of :mod:`.flow`
-returns the exact integral optimum, which makes the rounding gap measurable
-instead of merely bounded.
+two slopes become two kinds of slot per author, so an author's first ``b``
+nomination slots weigh ``p_j`` and the rest ``p_j + lam``, and the
+author-slot greedy of :mod:`.flow`, run on the instance itself, returns the
+exact integral optimum, which makes the rounding gap measurable instead of
+merely bounded.  In :func:`.flow.build_soft_network` the two slopes are two
+source edges per author (free up to ``b``, cost ``lam`` beyond).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .flow import build_soft_network, solve_network
+from .flow import _assign_by_slots
 from .instance import (
     Assignment,
     FractionalSolution,
@@ -35,6 +36,7 @@ from .instance import (
     SolveStatus,
     fractional_loads,
     report_for,
+    require_valid,
     resolve_limits,
 )
 from .lp import LpStatus, build_soft_lp, solve_lp
@@ -126,9 +128,16 @@ def solve_soft(
 def solve_soft_exact(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[Assignment, SolveReport]:
-    """Exact integral optimum of the soft objective via the two-slope network."""
-    network, pair_edges = build_soft_network(instance, b, lam)
-    assignment = solve_network(instance, network, pair_edges)
+    """Exact integral optimum of the soft objective.
+
+    The author-slot greedy runs on the instance itself, with ``b`` slots of
+    weight ``p_j`` and the rest of weight ``p_j + lam`` per author; it picks
+    the nominees that :func:`.flow.min_cost_circulation` reads off
+    :func:`.flow.build_soft_network`.
+    """
+    require_valid(instance)
+    b, lam = resolve_limits(instance, b, lam, soft=True)
+    assignment = _assign_by_slots(instance, b, lam)
     if assignment is None:
-        raise RuntimeError("soft network should always be feasible")
+        raise RuntimeError("the soft slots should always cover every paper")
     return assignment, report_for(instance, assignment, "soft-exact-flow", soft=(b, lam))

@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import edge_cases, random_instance
 
+from deskrisk import flow
 from deskrisk import (
     Circulation,
     FlowEdge,
@@ -14,13 +15,16 @@ from deskrisk import (
     SolveStatus,
     author_loads,
     build_hard_network,
+    build_soft_network,
     check_circulation,
     greedy_assign_basic,
     min_cost_circulation,
     oracle_hard,
     solve_hard,
     solve_lp,
+    solve_soft_exact,
 )
+from deskrisk.flow import solve_network
 
 TRAP = Instance.from_rows([[1, 2], [1]], p=[0.1, 0.2])
 
@@ -268,3 +272,50 @@ class TestSolveHard:
                 continue
             assert all(isinstance(f, int) for f in result.flow)
             assert check_circulation(net, result) == []
+
+
+def _network_nominees(inst, b, lam=None):
+    """The nominees that min_cost_circulation reads off the builders' network."""
+    if lam is None:
+        network, pair_edges = build_hard_network(inst, b)
+    else:
+        network, pair_edges = build_soft_network(inst, b, lam)
+    assignment = solve_network(inst, network, pair_edges)
+    return None if assignment is None else assignment.nominee
+
+
+class TestSolvePath:
+    def test_matches_the_network_route(self):
+        # The exact solvers run the slot greedy on the instance; the network
+        # route must pick the very same nominees, ties included.
+        rng = random.Random(46)
+        cases = [(random_instance(rng), rng.choice([1, 2, 3])) for _ in range(2000)]
+        cases += edge_cases(rng)
+        cases.append((Instance.from_rows([[1], [1, 2]], p=[2**-60, 0.5]), 1))
+        feasible = infeasible = 0
+        for inst, b in cases:
+            assignment, _ = solve_hard(inst, b)
+            if assignment is None:
+                infeasible += 1
+                assert _network_nominees(inst, b) is None
+            else:
+                feasible += 1
+                assert assignment.nominee == _network_nominees(inst, b)
+            for lam in (5e-324, 2**-60, 0.5, 1.0):
+                assignment, _ = solve_soft_exact(inst, b, lam)
+                assert assignment.nominee == _network_nominees(inst, b, lam)
+        assert feasible > 500 and infeasible > 100
+
+    def test_solvers_build_no_network(self, monkeypatch):
+        cases = [(TRAP, 1), (Instance.from_rows([[1]] * 5, p=[0.1]), 2)]
+        expected = [(solve_hard(inst, b), solve_soft_exact(inst, b, 0.3)) for inst, b in cases]
+        assert expected[0][0][0] is not None and expected[1][0][0] is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact solver built or solved a flow network")
+
+        monkeypatch.setattr(FlowNetwork, "add_edge", refuse)
+        monkeypatch.setattr(flow, "min_cost_circulation", refuse)
+        for (inst, b), (hard, soft) in zip(cases, expected):
+            assert solve_hard(inst, b) == hard
+            assert solve_soft_exact(inst, b, 0.3) == soft

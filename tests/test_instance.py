@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from conftest import random_instance
@@ -7,11 +8,14 @@ from deskrisk import (
     Assignment,
     Instance,
     InvalidAssignmentError,
+    InvalidInstanceError,
     author_loads,
     basic_objective,
+    require_valid,
     soft_objective,
     validate,
 )
+from deskrisk import instance as instance_module
 
 
 class TestValidate:
@@ -51,6 +55,17 @@ class TestValidate:
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)
         assert len(validate(inst)) == 3
+
+    def test_checked_once_per_instance(self, monkeypatch):
+        inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)
+        first = validate(inst)
+        monkeypatch.setattr(instance_module, "_find_violations", None)
+        with pytest.raises(InvalidInstanceError, match="; ".join(map(re.escape, first))):
+            require_valid(inst)
+        again = validate(inst)
+        assert again == first and again is not first
+        again.clear()
+        assert validate(inst) == first
 
 
 class TestAuthorLoads:
