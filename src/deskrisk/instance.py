@@ -253,10 +253,7 @@ def assignment_from_pairs(
 def author_loads(instance: Instance, assignment: Assignment) -> list[int]:
     """Count how many papers nominate each author; ``loads[j - 1]`` is author ``j``'s."""
     check_assignment(instance, assignment)
-    loads = [0] * instance.m
-    for j in assignment.nominee:
-        loads[j - 1] += 1
-    return loads
+    return _count_loads(instance, assignment)
 
 
 def basic_objective(instance: Instance, assignment: Assignment) -> float:
@@ -265,10 +262,7 @@ def basic_objective(instance: Instance, assignment: Assignment) -> float:
     Summation runs in paper order, so equal inputs give bit-identical output.
     """
     check_assignment(instance, assignment)
-    total = 0.0
-    for j in assignment.nominee:
-        total += instance.p[j - 1]
-    return total
+    return _expected_rejections(instance, assignment)
 
 
 def soft_objective(
@@ -283,13 +277,9 @@ def soft_objective(
     author.  ``b`` and ``lam`` are resolved by :func:`resolve_limits`.
     """
     b, lam = resolve_limits(instance, b, lam, soft=True)
-    expected = basic_objective(instance, assignment)
-    loads = author_loads(instance, assignment)
-    over = 0
-    for load in loads:
-        if load > b:
-            over += load - b
-    penalty = lam * over
+    check_assignment(instance, assignment)
+    expected = _expected_rejections(instance, assignment)
+    penalty = _overload_penalty(_count_loads(instance, assignment), b, lam)
     return expected + penalty, expected, penalty
 
 
@@ -304,21 +294,49 @@ def report_for(
 
     ``soft`` is ``(b, lam)`` for the soft-limit objective; without it the
     objective is the expected number of rejections and the penalty is 0.
+    The assignment is checked once and the loads are counted once.
     """
-    if soft is None:
-        objective = expected = basic_objective(instance, assignment)
-        penalty = 0.0
-    else:
-        objective, expected, penalty = soft_objective(instance, assignment, *soft)
+    limits = None if soft is None else resolve_limits(instance, *soft, soft=True)
+    check_assignment(instance, assignment)
+    objective = expected = _expected_rejections(instance, assignment)
+    loads = _count_loads(instance, assignment)
+    penalty = 0.0
+    if limits is not None:
+        penalty = _overload_penalty(loads, *limits)
+        objective = expected + penalty
     return SolveReport(
         status=SolveStatus.OPTIMAL,
         objective=objective,
         expected_rejections=expected,
         penalty=penalty,
-        loads=tuple(author_loads(instance, assignment)),
+        loads=tuple(loads),
         solver=solver,
         seed=seed,
     )
+
+
+def _expected_rejections(instance: Instance, assignment: Assignment) -> float:
+    """Sum of the nominees' ``p``, in paper order, for a checked assignment."""
+    total = 0.0
+    for j in assignment.nominee:
+        total += instance.p[j - 1]
+    return total
+
+
+def _count_loads(instance: Instance, assignment: Assignment) -> list[int]:
+    """Per-author nomination counts of a checked assignment."""
+    loads = [0] * instance.m
+    for j in assignment.nominee:
+        loads[j - 1] += 1
+    return loads
+
+
+def _overload_penalty(loads: list[int], b: int, lam: float) -> float:
+    over = 0
+    for load in loads:
+        if load > b:
+            over += load - b
+    return lam * over
 
 
 def fractional_loads(instance: Instance, solution: FractionalSolution) -> list[float]:

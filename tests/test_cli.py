@@ -29,6 +29,62 @@ heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"}
 print(code, *heavy, file=sys.stderr)
 """
 
+HIGHS_BINDING = "scipy.optimize._highspy._core"
+
+# Runs the CLI, then prints the exit code and which of the comma-separated
+# modules in argv[1] are in sys.modules, in that order, to stderr.
+LOADED_PROBE = """
+import sys
+from deskrisk.cli import run_cli
+code = run_cli(sys.argv[2:])
+print(code, *[name for name in sys.argv[1].split(",") if name in sys.modules], file=sys.stderr)
+"""
+
+# Solves with solve_lp before or after importing scipy.optimize, then solves
+# with both, and prints whether both use one binding module.
+ORDER_PROBE = """
+import sys
+from deskrisk import LinearProgram, solve_lp
+from deskrisk.lp import _binding
+
+def status():
+    lp = LinearProgram.minimize([1.0, 2.0])
+    lp.upper = [1.0, 1.0]
+    lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
+    return solve_lp(lp).status.value
+
+first = status() if sys.argv[1] == "solve_lp-first" else None
+from scipy.optimize import linprog
+import scipy.optimize._highspy._core as core
+first = first or status()
+result = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], bounds=[(0, 1), (0, 1)])
+print(first, status(), result.status, result.fun, core is _binding())
+"""
+
+# Four threads make their first solve_lp call at once, with a tiny switch
+# interval, then print their statuses and how many threads are still alive.
+THREADS_PROBE = """
+import sys, threading
+from deskrisk import LinearProgram, solve_lp
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(4)
+statuses = []
+
+def work():
+    lp = LinearProgram.minimize([1.0])
+    lp.upper = [1.0]
+    barrier.wait()
+    statuses.append(solve_lp(lp).status.value)
+
+threads = [threading.Thread(target=work) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+print(*statuses, sum(thread.is_alive() for thread in threads))
+"""
+
 
 def src_env():
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
@@ -109,12 +165,41 @@ class TestImportBoundary:
             argv += ["-o", str(tmp_path / "report.json")]
         assert run_probe("deskrisk.cli", argv) == (0, [])
 
-    def test_lp_route_still_loads_scipy(self, tmp_path):
-        argv = ["solve", self.FRAC, "--variant", "hard", "--b", "1", "--algorithm", "lp",
-                "-o", str(tmp_path / "report.json")]
-        code, heavy = run_probe("deskrisk.cli", argv)
-        assert code == 0
-        assert "scipy" in heavy
+    def test_lp_routes_load_the_highs_binding_not_scipy_optimize(self, tmp_path):
+        watched = ["numpy", HIGHS_BINDING, "scipy.optimize._optimize", "scipy.linalg", "scipy.sparse"]
+        for variant in (["hard", "--algorithm", "lp"], ["soft", "--algorithm", "lp-round"]):
+            argv = ["solve", self.FRAC, "--b", "1", "--lambda", "0.5", "--variant", *variant,
+                    "-o", str(tmp_path / "report.json")]
+            result = subprocess.run(
+                [sys.executable, "-c", LOADED_PROBE, ",".join(watched), *argv],
+                env=src_env(),
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stderr.split() == ["0", "numpy", HIGHS_BINDING]
+
+    def test_threads_share_one_binding_load(self):
+        result = subprocess.run(
+            [sys.executable, "-c", THREADS_PROBE],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["Optimal"] * 4 + ["0"]
+
+    @pytest.mark.parametrize("order", ["solve_lp-first", "scipy.optimize-first"])
+    def test_binding_is_shared_with_scipy_optimize_in_either_order(self, order):
+        result = subprocess.run(
+            [sys.executable, "-c", ORDER_PROBE, order],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["Optimal", "Optimal", "0", "1.0", "True"]
 
 
 class TestGenCommand:
@@ -157,6 +242,25 @@ class TestSolveCommand:
              "--b", "2", "--algorithm", algorithm]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "variant",
+        [["hard", "--algorithm", "lp"], ["soft", "--lambda", "0.5", "--algorithm", "lp-round"]],
+        ids=["lp", "lp-round"],
+    )
+    def test_missing_highs_binding_is_an_input_error(self, variant, monkeypatch, tmp_path, capsys):
+        import deskrisk.lp
+
+        missing = str(tmp_path / "_core.so")
+        monkeypatch.delitem(sys.modules, HIGHS_BINDING, raising=False)
+        monkeypatch.setattr(deskrisk.lp, "_binding_path", lambda: missing)
+        code = run_cli(["solve", str(FIXTURES / "frac_2x2.json"), "--b", "1", "--variant", *variant])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: scipy ")
+        assert captured.err.rstrip().endswith(f"has no HiGHS binding at {missing}")
+        assert "Traceback" not in captured.err
 
     def test_hard_lp_reports_one_third_and_integrality_flag(self, tmp_path):
         out = tmp_path / "report.json"

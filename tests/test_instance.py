@@ -195,3 +195,40 @@ class TestSoftObjective:
         inst = Instance.from_rows([[1]], p=[0.5])
         with pytest.raises(ValueError):
             soft_objective(inst, Assignment(nominee=(1,)))
+
+
+class TestReportFor:
+    @pytest.mark.parametrize("soft", [None, (1, 0.3)], ids=["basic", "soft"])
+    def test_one_check_and_one_load_count_per_report(self, monkeypatch, soft):
+        calls = {"check_assignment": 0, "_count_loads": 0}
+        for name in calls:
+            real = getattr(instance_module, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(instance_module, name, spy)
+        inst = Instance.from_rows([[1, 2], [1], [1, 2]], p=[0.1, 0.4])
+        instance_module.report_for(inst, Assignment(nominee=(1, 1, 2)), "spy", soft=soft)
+        assert calls == {"check_assignment": 1, "_count_loads": 1}
+
+    def test_matches_the_evaluators_bit_for_bit(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            inst = random_instance(rng)
+            assignment = Assignment(nominee=tuple(rng.choice(row) for row in inst.rows))
+            basic = instance_module.report_for(inst, assignment, "basic")
+            assert basic.objective == basic.expected_rejections == basic_objective(inst, assignment)
+            assert basic.penalty == 0.0
+            assert basic.loads == tuple(author_loads(inst, assignment))
+            soft = instance_module.report_for(inst, assignment, "soft", soft=(1, 0.3))
+            assert (soft.objective, soft.expected_rejections, soft.penalty) == soft_objective(
+                inst, assignment, 1, 0.3
+            )
+            assert soft.loads == basic.loads
+
+    def test_bad_limits_are_reported_before_a_bad_assignment(self):
+        inst = Instance.from_rows([[1]], p=[0.5])
+        with pytest.raises(ValueError, match="penalty weight"):
+            instance_module.report_for(inst, Assignment(nominee=(2,)), "x", soft=(1, None))

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from conftest import FIXTURES, edge_cases, random_instance
@@ -20,6 +21,7 @@ from deskrisk import (
     solve_soft,
     solve_soft_exact,
 )
+from deskrisk import lp as lp_module
 
 
 class TestSolveLp:
@@ -127,29 +129,36 @@ class TestSolveLp:
 
     @staticmethod
     def corrupt_backend(monkeypatch, corrupt):
-        import scipy.optimize
+        real = lp_module._run_highs
 
-        real = scipy.optimize.linprog
+        def run_highs(*args):
+            answer = real(*args)
+            corrupt(answer)
+            return answer
 
-        def linprog(*args, **kwargs):
-            result = real(*args, **kwargs)
-            corrupt(result)
-            return result
-
-        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+        monkeypatch.setattr(lp_module, "_run_highs", run_highs)
 
     @staticmethod
     def two_variable_program():
+        # HiGHS holds the inequality row first (row 0), then the equality row.
         lp = LinearProgram.minimize([1.0, 2.0])
         lp.upper = [1.0, None]
         lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
         lp.add_ineq([(0, 1.0)], 0.5, "<=")
         return lp
 
-    @pytest.mark.parametrize("part", ["eqlin", "ineqlin", "lower", "upper"])
+    # Each part of the duals: the equality and inequality row duals, and the
+    # reduced costs of the bounded and of the unbounded variable.
+    @pytest.mark.parametrize(
+        "part",
+        [("row_dual", 1), ("row_dual", 0), ("col_dual", 0), ("col_dual", 1)],
+        ids=["eqlin", "ineqlin", "lower", "upper"],
+    )
     def test_nan_marginals_fail_certification(self, monkeypatch, part):
-        def corrupt(result):
-            result[part].marginals = [math.nan] * len(result[part].marginals)
+        name, k = part
+
+        def corrupt(answer):
+            getattr(answer, name)[k] = math.nan
 
         self.corrupt_backend(monkeypatch, corrupt)
         solution = solve_lp(self.two_variable_program())
@@ -157,18 +166,62 @@ class TestSolveLp:
         assert "duality gap nan" in solution.message
 
     def test_unbounded_variable_adds_no_upper_term(self, monkeypatch):
-        def corrupt(result):
-            result.upper.marginals[1] = math.nan
+        # A reduced cost within tolerance on the infinite side prices nothing.
+        def corrupt(answer):
+            answer.col_dual[1] = -1e-12
 
         self.corrupt_backend(monkeypatch, corrupt)
         solution = solve_lp(self.two_variable_program())
         assert solution.status is LpStatus.OPTIMAL
         assert solution.objective == pytest.approx(1.5, abs=1e-7)
 
+    @pytest.mark.parametrize(
+        ("corrupt", "fault"),
+        [
+            (lambda answer: answer.row_dual.__setitem__(1, -answer.row_dual[1]), "duality gap"),
+            (lambda answer: answer.row_dual.__setitem__(0, -answer.row_dual[0]), "inequality row 0"),
+            (lambda answer: answer.col_dual.__setitem__(0, 1e-6), "reduced-cost residual"),
+            (lambda answer: answer.col_dual.__setitem__(1, -1e-6), "variable 1 has dual"),
+            (lambda answer: answer.row_dual.fill(math.nan), "duality gap nan"),
+        ],
+        ids=["flip-eq-dual", "flip-ineq-dual", "nudge-bounded", "nudge-unbounded", "nan-duals"],
+    )
+    def test_mutated_duals_fail_certification(self, monkeypatch, corrupt, fault):
+        # At the optimum x = (0.5, 0.5) both variables are basic, z = (0, 0),
+        # and the row duals are -1 (inequality) and 2 (equality).
+        self.corrupt_backend(monkeypatch, corrupt)
+        solution = solve_lp(self.two_variable_program())
+        assert solution.status is LpStatus.ERROR
+        assert fault in solution.message
+
+    @pytest.mark.parametrize(
+        ("sense", "row_dual", "col_dual", "fault"),
+        [
+            # min x0 with x0 <= 2: y = 1, z = 0 prices the row's -inf side.
+            ("<=", 1.0, 0.0, "inequality row 0 has dual 1.000e+00 on an infinite bound"),
+            # min x0 with x0 >= 1: y = -2, z = -1 prices x0's +inf upper bound.
+            (">=", -2.0, -1.0, "variable 0 has dual -1.000e+00 on an infinite bound"),
+        ],
+    )
+    def test_dual_on_an_infinite_bound_fails_certification(
+        self, monkeypatch, sense, row_dual, col_dual, fault
+    ):
+        # Both mutations keep c - A'y - z at zero; only the sign check catches them.
+        def corrupt(answer):
+            answer.row_dual[0] = row_dual
+            answer.col_dual[0] = col_dual
+
+        self.corrupt_backend(monkeypatch, corrupt)
+        lp = LinearProgram.minimize([1.0])
+        lp.add_ineq([(0, 1.0)], 2.0 if sense == "<=" else 1.0, sense)
+        solution = solve_lp(lp)
+        assert solution.status is LpStatus.ERROR
+        assert solution.message == fault
+
     @pytest.mark.parametrize("k", [0, 1])
     def test_nan_primal_value_fails_certification(self, monkeypatch, k):
-        def corrupt(result):
-            result.x[k] = math.nan
+        def corrupt(answer):
+            answer.x[k] = math.nan
 
         self.corrupt_backend(monkeypatch, corrupt)
         solution = solve_lp(self.two_variable_program())
@@ -176,8 +229,8 @@ class TestSolveLp:
         assert "residual nan" in solution.message
 
     def test_iterations_are_none_when_the_backend_omits_them(self, monkeypatch):
-        def corrupt(result):
-            del result["nit"]
+        def corrupt(answer):
+            answer.iterations = None
 
         self.corrupt_backend(monkeypatch, corrupt)
         solution = solve_lp(self.two_variable_program())
@@ -185,8 +238,8 @@ class TestSolveLp:
         assert solution.iterations is None
 
     def test_nan_value_fails_the_bounds_check(self, monkeypatch):
-        def corrupt(result):
-            result.x[0] = math.nan
+        def corrupt(answer):
+            answer.x[0] = math.nan
 
         self.corrupt_backend(monkeypatch, corrupt)
         lp = LinearProgram.minimize([1.0])
@@ -194,6 +247,30 @@ class TestSolveLp:
         solution = solve_lp(lp)
         assert solution.status is LpStatus.ERROR
         assert "variable 0 value nan violates bounds" in solution.message
+
+    @pytest.mark.parametrize(
+        ("coeff", "rhs", "message"),
+        [
+            (math.nan, 1.0, "row coefficient must be finite, got nan"),
+            (1.0, math.inf, "row right-hand side must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_row_data_is_rejected(self, coeff, rhs, message):
+        lp = LinearProgram.minimize([1.0])
+        lp.add_ineq([(0, coeff)], rhs, ">=")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lp.check()
+
+    def test_missing_binding_names_the_path_and_the_scipy_version(self, monkeypatch, tmp_path):
+        import scipy
+
+        missing = tmp_path / "_core.so"
+        monkeypatch.delitem(sys.modules, lp_module._BINDING, raising=False)
+        monkeypatch.setattr(lp_module, "_binding_path", lambda: str(missing))
+        with pytest.raises(RuntimeError) as caught:
+            solve_lp(self.two_variable_program())
+        assert str(missing) in str(caught.value)
+        assert f"scipy {scipy.__version__}" in str(caught.value)
 
 
 class TestBuildHardLp:
