@@ -14,7 +14,8 @@ Three problem variants over the same instance data:
 Both exact solvers run one author-slot greedy straight on the instance; see
 :mod:`deskrisk.flow` for why it is exact.  The assignment networks of the
 paper's reduction (:func:`build_hard_network`, :func:`build_soft_network`)
-are solved by the same greedy through :func:`min_cost_circulation`.
+are an export; :func:`min_cost_circulation` solves only networks these
+builders emit, by reading the instance back and running the same greedy.
 
 Brute-force oracles and the one-pass baselines live alongside the real
 solvers so every answer can be cross-checked on small instances.

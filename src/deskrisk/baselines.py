@@ -97,17 +97,7 @@ def rand_assign_soft(
     Always returns a valid assignment; overloads show up in the penalty term
     of the objective instead of an error flag.
     """
-    require_valid(instance)
-    b, _ = resolve_limits(instance, b)
-    choose = _chooser(seed)
-    loads = [0] * instance.m
-    nominee: list[int] = []
-    for row in instance.rows:
-        under = [j for j in row if loads[j - 1] + 1 <= b]
-        k = choose(under) if under else choose(list(row))
-        nominee.append(k)
-        loads[k - 1] += 1
-    return Assignment(nominee=tuple(nominee))
+    return rand_assign_hard(instance, b, seed).assignment
 
 
 def greedy_assign_soft(

@@ -2,11 +2,13 @@
 
 :func:`build_hard_network` and :func:`build_soft_network` pose the
 nomination problem as a circulation on a four-layer network (source,
-authors, papers, sink, plus a return edge): the paper's reduction.
-:func:`solve_hard` and :func:`solve_soft_exact` do not build it: they run
-the greedy below straight on the instance's author-to-papers lists.
-:func:`min_cost_circulation` solves a built network by renumbering its
-layers onto the same greedy, so the two routes give the same nominees.
+authors, papers, sink, plus a return edge): the paper's reduction, kept as
+an export.  :func:`solve_hard` and :func:`solve_soft_exact` do not build it:
+they run the greedy below straight on the instance's author-to-papers lists.
+:func:`min_cost_circulation` solves only networks these builders emit: it
+reads the instance back from the edges, rebuilds the network to check it,
+and writes the greedy's nominees as a flow, so both routes give the same
+nominees.
 
 Each unit of source capacity into an author is a *slot*.  All of an
 author's paper edges cost the same, so a slot's weight (its source edge's
@@ -22,7 +24,6 @@ Weights are compared exactly, and every flow value is an integer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -31,6 +32,7 @@ from .instance import (
     Instance,
     SolveReport,
     SolveStatus,
+    _count_loads,
     assignment_from_pairs,
     report_for,
     require_valid,
@@ -41,7 +43,7 @@ SOURCE, SINK = 1, 2
 
 
 class MalformedNetworkError(ValueError):
-    """Raised when a network violates its own invariants or is not an assignment network."""
+    """Raised when a network is not one that the builders below emit."""
 
 
 @dataclass(frozen=True)
@@ -87,119 +89,74 @@ class Circulation:
     cost: float
 
 
-def _validate_network(network: FlowNetwork) -> None:
-    n = network.num_vertices
-    if n < 1:
-        raise MalformedNetworkError(f"network needs at least one vertex, got {n}")
-    if len(network.supply) != n:
-        raise MalformedNetworkError(
-            f"supply vector has length {len(network.supply)}, expected {n}"
-        )
-    if sum(network.supply) != 0:
-        raise MalformedNetworkError(f"supplies must sum to 0, got {sum(network.supply)}")
-    for idx, e in enumerate(network.edges):
-        if not (1 <= e.tail <= n and 1 <= e.head <= n):
-            raise MalformedNetworkError(f"edge {idx} endpoints ({e.tail}, {e.head}) out of range")
-        if not (0 <= e.lower <= e.capacity):
-            raise MalformedNetworkError(
-                f"edge {idx} needs 0 <= lower <= capacity, got [{e.lower}, {e.capacity}]"
-            )
-        if not math.isfinite(e.cost):
-            raise MalformedNetworkError(f"edge {idx} has non-finite cost {e.cost}")
-
-
-def _assignment_layers(network: FlowNetwork):
-    """Split an assignment network into its layers, or raise MalformedNetworkError.
-
-    Returns the source edges, each paper vertex's edge into the sink, each
-    author's ``(paper vertex, edge)`` list and shared edge cost, and the
-    return edge.
-    """
-    edges = network.edges
-    source: list[int] = []
-    papers: dict[int, int] = {}
-    incident: dict[int, list[tuple[int, int]]] = {}
-    cost: dict[int, float] = {}
-    back: list[int] = []
-    for k, e in enumerate(edges):
-        if (e.tail, e.head) == (SINK, SOURCE):
-            fits = not back and e.lower == 0 and e.cost == 0.0
-            back.append(k)
-        elif e.tail == SOURCE:
-            fits = e.lower == 0
-            source.append(k)
-        elif e.head == SINK:
-            fits = e.tail not in papers and (e.lower, e.capacity, e.cost) == (1, 1, 0.0)
-            papers[e.tail] = k
-        else:
-            fits = (e.lower, e.capacity) == (0, 1) and e.cost == cost.setdefault(e.tail, e.cost)
-            incident.setdefault(e.tail, []).append((e.head, k))
-        if not fits:
-            raise MalformedNetworkError(
-                f"edge {k} ({e.tail} -> {e.head}) does not fit an assignment network"
-            )
-    authors = {edges[k].head for k in source} | incident.keys()
-    heads = {paper for arcs in incident.values() for paper, _ in arcs}
-    if (
-        any(network.supply)
-        or len(back) != 1
-        or edges[back[0]].capacity < len(papers)
-        or (authors | papers.keys()) & {SOURCE, SINK}
-        or authors & papers.keys()
-        or not heads <= papers.keys()
-    ):
-        raise MalformedNetworkError(
-            "not an assignment network: it needs no supplies, one return edge, and "
-            "source -> author -> paper -> sink layers"
-        )
-    return source, papers, incident, cost, back[0]
-
-
 def min_cost_circulation(network: FlowNetwork) -> Circulation | None:
-    """Cheapest integral circulation of an assignment network; ``None`` if none exists.
+    """Cheapest integral circulation of a builder's network; ``None`` if none exists.
 
-    Only networks shaped like the builders' output are solved: no supplies,
-    source edges into authors, ``[0, 1]`` author-to-paper edges sharing one
-    cost per author, one ``[1, 1]`` edge from each paper into the sink, and
-    one return edge.  Any other raises :class:`MalformedNetworkError`.  The
-    layers are renumbered onto the dense ids of :func:`_fill_slots`, the core
-    the exact solvers run on the instance itself.
+    Only networks that :func:`build_hard_network` or
+    :func:`build_soft_network` emit are solved.  The instance, ``b`` and
+    ``lam`` are read back from the edges and the network is rebuilt from
+    them; any difference in vertices, edges or supply raises
+    :class:`MalformedNetworkError`.  The nominees come from the greedy the
+    exact solvers run, and the flow follows from them: each author's load
+    fills its free source edge up to ``b`` and the ``lam`` edge beyond.
     """
-    _validate_network(network)
-    source, sink_edges, incident, cost, back = _assignment_layers(network)
-    edges = network.edges
-    paper_id = {paper: i for i, paper in enumerate(sink_edges)}
-    authors = dict.fromkeys([edges[k].head for k in source] + list(incident))
-    author_id = {author: a for a, author in enumerate(authors)}
-    papers_of: list[list[int]] = [[] for _ in author_id]
-    pair_edge: dict[tuple[int, int], int] = {}  # (author id, paper id) -> first edge
-    for author, arcs in incident.items():
-        a = author_id[author]
-        for paper, k in arcs:
-            papers_of[a].append(paper_id[paper])
-            pair_edge.setdefault((a, paper_id[paper]), k)
-    # a stable sort: equal weights keep edge order
-    slots = sorted(
-        source, key=lambda k: _exact(edges[k].cost) + _exact(cost.get(edges[k].head, 0.0))
-    )
-    filled = _fill_slots(
-        papers_of, len(paper_id), [(author_id[edges[k].head], edges[k].capacity) for k in slots]
-    )
-    if filled is None:
+    try:
+        instance, b, lam = _read_instance(network)
+        rebuilt, pair_edges = _assignment_network(instance, b, lam, soft=lam is not None)
+    except (ValueError, TypeError) as exc:
+        raise MalformedNetworkError(f"not a network the builders emit: {exc}") from None
+    if (rebuilt.num_vertices, rebuilt.edges, rebuilt.supply) != (
+        network.num_vertices,
+        network.edges,
+        network.supply,
+    ):
+        raise MalformedNetworkError("not a network the builders emit")
+    assignment = _assign_by_slots(instance, b, lam)
+    if assignment is None:
         return None
-    holder, counts = filled
-    flow = [0] * len(edges)
-    for k, count in zip(slots, counts):
-        flow[k] = count
-    for paper, a in enumerate(holder):
-        flow[pair_edge[a, paper]] = 1
-    for k in sink_edges.values():
-        flow[k] = 1
-    flow[back] = len(holder)
+    flow = [0] * len(rebuilt.edges)
+    for i, j in enumerate(assignment.nominee, start=1):
+        flow[pair_edges[i, j]] = 1
+    for j, load in enumerate(_count_loads(instance, assignment)):
+        free = min(load, b)
+        if lam is None:
+            flow[j] = free
+        else:
+            flow[2 * j : 2 * j + 2] = free, load - free
+    flow[-instance.n - 1 :] = [1] * instance.n + [instance.n]
     total = 0.0
-    for e, f in zip(edges, flow):
+    for e, f in zip(network.edges, flow):
         total += e.cost * f
     return Circulation(flow=tuple(flow), cost=total)
+
+
+def _read_instance(network: FlowNetwork) -> tuple[Instance, int, float | None]:
+    """The ``(instance, b, lam)`` a builder would have made ``network`` from.
+
+    The return edge's capacity is ``n``, the remaining vertices are the
+    authors, there are two source edges per author iff the network is soft,
+    and each author's pair edges cost its ``p_j``.  Only the caller's
+    rebuild shows whether the guess is right.
+    """
+    edges = network.edges
+    if not edges:
+        raise MalformedNetworkError("network has no edges")
+    n = edges[-1].capacity
+    m = network.num_vertices - n - 2
+    sources = [e for e in edges if e.tail == SOURCE]
+    # Every paper has a sink edge and every author a source edge or two.
+    if not 0 < n < len(edges) or m < 1 or len(sources) not in (m, 2 * m):
+        raise MalformedNetworkError(
+            f"{n} papers, {m} authors and {len(sources)} source edges do not fit together"
+        )
+    p = [0.0] * m  # an author without papers has no pair edge to show its p
+    pairs = []
+    for e in edges:
+        if 3 <= e.tail <= m + 2 and m + 3 <= e.head <= m + n + 2:
+            pairs.append((e.head - m - 2, e.tail - 2))
+            p[e.tail - 3] = e.cost
+    lam = sources[1].cost if len(sources) == 2 * m else None
+    return Instance(n=n, m=m, authorship=tuple(pairs), p=tuple(p)), sources[0].capacity, lam
 
 
 def _exact(cost: float) -> int:
@@ -214,18 +171,17 @@ def _exact(cost: float) -> int:
 
 def _fill_slots(
     papers_of: list[list[int]], papers: int, slots: list[tuple[int, int]]
-) -> tuple[list[int], list[int]] | None:
+) -> list[int] | None:
     """The author-slot greedy over dense ids; ``None`` if some paper stays unassigned.
 
     Authors and papers are numbered from 0.  ``papers_of[a]`` lists author
     ``a``'s papers in search order, and ``slots`` holds ``(author,
     capacity)`` in ascending weight.  Each slot takes papers while an
     augmenting search from its author succeeds.  Returns each paper's
-    holder and how many papers each slot took.
+    holder.
     """
     holder = [-1] * papers
     dead = [False] * len(papers_of)
-    counts: list[int] = []
     assigned = 0
     for author, capacity in slots:
         count = 0
@@ -236,10 +192,9 @@ def _fill_slots(
         ):
             count += 1
             assigned += 1
-        counts.append(count)
     if assigned < papers:
         return None
-    return holder, counts
+    return holder
 
 
 def _augment(start: int, papers_of: list[list[int]], holder: list[int], dead: list[bool]) -> bool:
@@ -353,8 +308,7 @@ def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignmen
     Author ``j`` gets ``b`` slots of weight ``p_j`` and, when ``lam`` is
     given, ``n`` more of weight ``p_j + lam``.  Equal weights keep the order
     of the builders' source edges (author ``j`` ascending, the free slot
-    first), and each author's papers are searched in ascending order, so the
-    answer is the one :func:`min_cost_circulation` reads off the network.
+    first), and each author's papers are searched in ascending order.
     ``b`` and ``lam`` must already be resolved and the instance valid.
     """
     papers_of: list[list[int]] = [[] for _ in range(instance.m)]
@@ -368,10 +322,10 @@ def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignmen
         if extra is not None:
             slots.append((weight + extra, author, instance.n))
     slots.sort(key=itemgetter(0))
-    filled = _fill_slots(papers_of, instance.n, [(author, cap) for _, author, cap in slots])
-    if filled is None:
+    holder = _fill_slots(papers_of, instance.n, [(author, cap) for _, author, cap in slots])
+    if holder is None:
         return None
-    return Assignment(nominee=tuple(author + 1 for author in filled[0]))
+    return Assignment(nominee=tuple(author + 1 for author in holder))
 
 
 def solve_hard(

@@ -90,11 +90,6 @@ class Instance:
         return tuple(tuple(row) for row in out)
 
     @cached_property
-    def incidence(self) -> frozenset[tuple[int, int]]:
-        """The authorship pairs as a set, for membership tests."""
-        return frozenset(self.authorship)
-
-    @cached_property
     def _violations(self) -> tuple[str, ...]:
         """What :func:`validate` reports, found once per instance since it is frozen."""
         return tuple(_find_violations(self))
@@ -186,8 +181,9 @@ def _find_violations(instance: Instance) -> list[str]:
     for j, pj in enumerate(instance.p, start=1):
         if not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
-    if instance.b is not None and instance.b < 1:
-        violations.append(f"b must be >= 1, got {instance.b}")
+    limit_problem = "" if instance.b is None else _limit_problem(instance.b)
+    if limit_problem:
+        violations.append(limit_problem)
     if instance.lam is not None and not _positive_finite(instance.lam):
         violations.append(f"lambda must be > 0 and finite, got {instance.lam}")
     return violations
@@ -195,6 +191,15 @@ def _find_violations(instance: Instance) -> list[str]:
 
 def _positive_finite(value: float) -> bool:
     return value > 0.0 and math.isfinite(value)
+
+
+def _limit_problem(b: object) -> str:
+    """Why ``b`` is not a nomination limit, an integer (not a bool) >= 1; "" if it is one."""
+    if b is not None and (isinstance(b, bool) or not isinstance(b, int)):
+        return f"b must be an integer, got {b!r}"
+    if b is None or b < 1:
+        return f"b must be >= 1, got {b}"
+    return ""
 
 
 def require_valid(instance: Instance) -> None:
@@ -211,14 +216,16 @@ def resolve_limits(
 ) -> tuple[int, float | None]:
     """The nomination limit and, for the soft variant, the penalty weight.
 
-    Each defaults to the instance's own value.  ``b`` must be at least 1 and
-    the soft variant also needs a finite ``lam > 0``; anything else raises
-    ``ValueError``.  Without ``soft`` the returned weight is ``None``.
+    Each defaults to the instance's own value.  ``b`` must be an integer of
+    at least 1 (a bool is not one) and the soft variant also needs a finite
+    ``lam > 0``; anything else raises ``ValueError``.  Without ``soft`` the
+    returned weight is ``None``.
     """
     if b is None:
         b = instance.b
-    if b is None or b < 1:
-        raise ValueError(f"nomination limit b must be >= 1, got {b}")
+    problem = _limit_problem(b)
+    if problem:
+        raise ValueError(f"nomination limit {problem}")
     if not soft:
         return b, None
     if lam is None:
@@ -235,7 +242,7 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
             f"assignment has {len(assignment.nominee)} nominees, expected n={instance.n}"
         )
     for i, j in enumerate(assignment.nominee, start=1):
-        if (i, j) not in instance.incidence:
+        if j not in instance.rows[i - 1]:
             raise InvalidAssignmentError(f"paper {i} nominates non-author {j}")
 
 

@@ -72,6 +72,7 @@ _HIGHS_OPTIONS = {
     "presolve": "on",
     "output_flag": False,
     "log_to_console": False,
+    "primal_feasibility_tolerance": FEASIBILITY_TOL,
 }
 
 
@@ -283,7 +284,7 @@ def _binding() -> Any:
     return core
 
 
-def _run_highs(form: _SolverForm, primal_tol: float) -> _HighsAnswer:
+def _run_highs(form: _SolverForm) -> _HighsAnswer:
     """Run HiGHS on ``form`` and return its raw answer."""
     import numpy as np
 
@@ -308,7 +309,7 @@ def _run_highs(form: _SolverForm, primal_tol: float) -> _HighsAnswer:
     matrix.value_ = form.value[order]
 
     highs = core._Highs()
-    for name, value in {**_HIGHS_OPTIONS, "primal_feasibility_tolerance": primal_tol}.items():
+    for name, value in _HIGHS_OPTIONS.items():
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS {highs.version()} rejects option {name}={value!r}")
     if highs.passModel(model) == core.HighsStatus.kError:
@@ -330,21 +331,17 @@ def _run_highs(form: _SolverForm, primal_tol: float) -> _HighsAnswer:
     return answer
 
 
-def solve_lp(
-    lp: LinearProgram,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    optimality_tol: float = OPTIMALITY_TOL,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve and certify a linear program.
 
     Statuses: Optimal (certified), Infeasible, Unbounded, or Error when the
     backend fails numerically or the certification check rejects its answer.
     """
     form = _solver_form(lp)
-    answer = _run_highs(form, min(feasibility_tol, 1e-9))
+    answer = _run_highs(form)
     if answer.status is not LpStatus.OPTIMAL:
         return LpSolution(status=answer.status, message=answer.message, iterations=answer.iterations)
-    problem, gap = _certify(form, answer, feasibility_tol, optimality_tol)
+    problem, gap = _certify(form, answer)
     if problem:
         return LpSolution(status=LpStatus.ERROR, message=problem, iterations=answer.iterations)
     return LpSolution(
@@ -356,21 +353,19 @@ def solve_lp(
     )
 
 
-def _certify(
-    form: _SolverForm, answer: _HighsAnswer, feasibility_tol: float, optimality_tol: float
-) -> tuple[str, float]:
+def _certify(form: _SolverForm, answer: _HighsAnswer) -> tuple[str, float]:
     """Check a claimed optimum without trusting the solver: ``(fault or "", gap)``.
 
-    ``x`` must meet every row and bound within ``feasibility_tol``.  Each row
+    ``x`` must meet every row and bound within ``FEASIBILITY_TOL``.  Each row
     dual and reduced cost then prices the bound on the side its sign selects
-    (the lower side when positive), so none beyond ``optimality_tol`` may sit
-    on an infinite side; the objective must be within ``optimality_tol`` of
+    (the lower side when positive), so none beyond ``OPTIMALITY_TOL`` may sit
+    on an infinite side; the objective must be within ``OPTIMALITY_TOL`` of
     the dual objective, and ``c - A'y - z`` within it of zero.  Every test is
     "passes only if <= tol", so a NaN fails it.
     """
     import numpy as np
 
-    tol = feasibility_tol
+    tol = FEASIBILITY_TOL
     x, y, z = answer.x, answer.row_dual, answer.col_dual
     activity = np.bincount(form.row, form.value * x[form.col], minlength=len(form.row_upper))
     excess = activity - form.row_upper
@@ -387,7 +382,7 @@ def _certify(
         bounds = f"[{form.lower[k]}, {form.upper[k]}]"
         return f"variable {k} value {float(x[k])!r} violates bounds {bounds}", math.nan
 
-    tol = optimality_tol
+    tol = OPTIMALITY_TOL
     dual = 0.0
     for kind, duals, lower, upper in (
         ("inequality row", y, form.row_lower, form.row_upper),

@@ -131,9 +131,9 @@ def solve_soft_exact(
     """Exact integral optimum of the soft objective.
 
     The author-slot greedy runs on the instance itself, with ``b`` slots of
-    weight ``p_j`` and the rest of weight ``p_j + lam`` per author; it picks
-    the nominees that :func:`.flow.min_cost_circulation` reads off
-    :func:`.flow.build_soft_network`.
+    weight ``p_j`` and the rest of weight ``p_j + lam`` per author; it is
+    the greedy :func:`.flow.min_cost_circulation` runs on
+    :func:`.flow.build_soft_network`'s network.
     """
     require_valid(instance)
     b, lam = resolve_limits(instance, b, lam, soft=True)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import edge_cases, random_instance
@@ -64,8 +65,27 @@ def _generic(edges, num_vertices=2, supply=None):
     return net
 
 
-# General circulation networks that no builder emits.  The solver serves only
-# assignment networks, so each of these is rejected rather than solved.
+def assignment_network(sources, pairs, n, m):
+    """Network in the builders' layout: source 1, sink 2, authors 3.., papers m+3...
+
+    ``sources`` holds ``(author, capacity, cost)`` edges and ``pairs`` holds
+    ``(author, paper, cost)`` edges, both 1-based.
+    """
+    net = FlowNetwork(num_vertices=m + n + 2)
+    for j, capacity, cost in sources:
+        net.add_edge(1, j + 2, 0, capacity, cost)
+    for j, i, cost in pairs:
+        net.add_edge(j + 2, i + m + 2, 0, 1, cost)
+    for i in range(1, n + 1):
+        net.add_edge(i + m + 2, 2, 1, 1, 0.0)
+    net.add_edge(2, 1, 0, n, 0.0)
+    return net
+
+
+# Circulation networks that no builder emits.  The solver serves only the
+# builders' networks, so each of these is rejected rather than solved.  The
+# last four are in the builders' layout but with sources, costs or paper
+# counts that no instance gives.
 GENERIC_NETWORKS = {
     "no_demands_means_zero_flow": _generic(
         [(1, 2, 0, 5, 1.0), (2, 3, 0, 5, 2.0), (3, 1, 0, 5, 0.5)], num_vertices=3
@@ -85,39 +105,53 @@ GENERIC_NETWORKS = {
          (5, 2, 1, 1, 0.0), (2, 1, 0, 2, 0.0)],
         num_vertices=5,
     ),
+    "layers_without_papers": assignment_network([(1, 2, 0.5)], [], n=0, m=1),
+    "priced_source_edge_without_a_penalty_edge": assignment_network(
+        [(1, 1, 0.25)], [(1, 1, 0.5)], n=1, m=1
+    ),
+    "penalty_edge_below_the_paper_count": assignment_network(
+        [(1, 1, 0.0), (1, 1, 3.0)], [(1, i, 0.1) for i in (1, 2, 3)], n=3, m=1
+    ),
+    "penalty_edge_before_the_free_edge": assignment_network(
+        [(1, 2, 1.0), (1, 2, 0.0)], [(1, i, 0.0) for i in (1, 2)], n=2, m=1
+    ),
 }
 
 
-def assignment_network(sources, pairs, n, m):
-    """Network in the builders' layout: source 1, sink 2, authors 3.., papers m+3...
-
-    ``sources`` holds ``(author, capacity, cost)`` edges and ``pairs`` holds
-    ``(author, paper, cost)`` edges, both 1-based.
-    """
-    net = FlowNetwork(num_vertices=m + n + 2)
-    for j, capacity, cost in sources:
-        net.add_edge(1, j + 2, 0, capacity, cost)
-    for j, i, cost in pairs:
-        net.add_edge(j + 2, i + m + 2, 0, 1, cost)
-    for i in range(1, n + 1):
-        net.add_edge(i + m + 2, 2, 1, 1, 0.0)
-    net.add_edge(2, 1, 0, n, 0.0)
-    return net
+def _network_lp(net):
+    """The circulation as a linear program: one column per edge, one row per vertex."""
+    lp = LinearProgram.minimize([e.cost for e in net.edges])
+    lp.lower = [float(e.lower) for e in net.edges]
+    lp.upper = [float(e.capacity) for e in net.edges]
+    rows = [[] for _ in range(net.num_vertices)]
+    for k, e in enumerate(net.edges):
+        rows[e.tail - 1].append((k, 1.0))
+        rows[e.head - 1].append((k, -1.0))
+    for row, supply in zip(rows, net.supply):
+        lp.add_eq(row, float(supply))
+    return lp
 
 
-def random_assignment_network(rng):
-    """Random incidence, 1-2 source edges per author, one pair cost per author."""
-    n, m = rng.randint(1, 5), rng.randint(1, 4)
-    sources = [
-        (j, rng.randint(0, 3), rng.uniform(-1.0, 2.0))
-        for j in range(1, m + 1)
-        for _ in range(rng.randint(1, 2))
+def _mutants(net, rng):
+    """Copies of ``net`` with one edge changed, dropped, duplicated or swapped,
+    or with the vertex count shifted."""
+    edges = net.edges
+    k, other = rng.randrange(len(edges)), rng.randrange(len(edges))
+    name = rng.choice(["tail", "head", "lower", "capacity", "cost"])
+    delta = rng.choice([-1, 1]) if name != "cost" else rng.choice([-0.25, 0.25, 1.0])
+    changed = replace(edges[k], **{name: getattr(edges[k], name) + delta})
+    swapped = list(edges)
+    swapped[k], swapped[other] = swapped[other], swapped[k]
+    variants = [
+        edges[:k] + [changed] + edges[k + 1 :],
+        edges[:k] + edges[k + 1 :],
+        edges[:other] + [edges[k]] + edges[other:],
+        swapped,
     ]
-    pairs = []
-    for j in range(1, m + 1):
-        cost = rng.choice([0.0, 0.5, rng.uniform(-1.0, 1.0)])
-        pairs += [(j, i, cost) for i in sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))]
-    return assignment_network(sources, pairs, n, m)
+    for variant in variants:
+        yield FlowNetwork(num_vertices=net.num_vertices, edges=variant, supply=list(net.supply))
+    for shift in (-1, 1):
+        yield FlowNetwork(num_vertices=net.num_vertices + shift, edges=list(edges))
 
 
 class TestMinCostCirculation:
@@ -126,32 +160,27 @@ class TestMinCostCirculation:
         with pytest.raises(MalformedNetworkError):
             min_cost_circulation(GENERIC_NETWORKS[name])
 
-    def test_no_demands_means_zero_flow(self):
-        # an assignment network without papers: the zero circulation
-        net = assignment_network([(1, 2, 0.5)], [], n=0, m=1)
-        assert min_cost_circulation(net) == Circulation(flow=(0, 0), cost=0.0)
-
     def test_lower_bound_forces_flow_around_a_cycle(self):
         # the paper's [1, 1] sink edge pulls one unit through every layer
-        net = assignment_network([(1, 1, 0.25)], [(1, 1, 0.5)], n=1, m=1)
+        net, _ = build_soft_network(Instance.from_rows([[1]], p=[0.5]), b=1, lam=0.25)
         result = min_cost_circulation(net)
-        assert result == Circulation(flow=(1, 1, 1, 1), cost=0.75)
+        assert result == Circulation(flow=(1, 0, 1, 1, 1), cost=0.5)
         assert check_circulation(net, result) == []
 
     def test_supply_exceeding_capacity_is_infeasible(self):
-        # three papers, one author with two slots in total
-        sources = [(1, 1, 0.0), (1, 1, 3.0)]
-        net = assignment_network(sources, [(1, i, 0.1) for i in (1, 2, 3)], n=3, m=1)
+        # three papers, two authors with one slot each
+        inst = Instance.from_rows([[1, 2]] * 3, p=[0.1, 0.2])
+        net, _ = build_hard_network(inst, b=1)
         assert min_cost_circulation(net) is None
 
     def test_cheaper_parallel_route_wins(self):
-        # one author, two parallel source edges: the cheaper fills up first
-        sources = [(1, 3, 5.0), (1, 1, 1.0)]
-        net = assignment_network(sources, [(1, i, 0.0) for i in (1, 2)], n=2, m=1)
+        # author 1's penalty edge (0.1 + 0.3) undercuts author 2's free one (0.5)
+        inst = Instance.from_rows([[1, 2], [1, 2]], p=[0.1, 0.5])
+        net, _ = build_soft_network(inst, b=1, lam=0.3)
         result = min_cost_circulation(net)
         assert result is not None
-        assert result.flow[:2] == (1, 1)
-        assert result.cost == pytest.approx(6.0, abs=1e-12)
+        assert result.flow[:4] == (1, 1, 0, 0)
+        assert result.cost == pytest.approx(0.5, abs=1e-12)
         assert check_circulation(net, result) == []
 
     def test_trap_network_cost(self):
@@ -189,32 +218,49 @@ class TestMinCostCirculation:
         # network constraint matrices are totally unimodular, so the LP value
         # equals the integral optimum and doubles as an independent oracle
         rng = random.Random(45)
+        cases = [(random_instance(rng), rng.choice([1, 2, 3])) for _ in range(80)]
         feasible = infeasible = 0
-        for _ in range(80):
-            net = random_assignment_network(rng)
-            lp = LinearProgram.minimize([e.cost for e in net.edges])
-            lp.lower = [float(e.lower) for e in net.edges]
-            lp.upper = [float(e.capacity) for e in net.edges]
-            for v in range(1, net.num_vertices + 1):
-                row = []
-                for k, e in enumerate(net.edges):
-                    if e.tail == v:
-                        row.append((k, 1.0))
-                    if e.head == v:
-                        row.append((k, -1.0))
-                lp.add_eq(row, float(net.supply[v - 1]))
-            oracle = solve_lp(lp)
+        for inst, b in cases + edge_cases(rng):
+            lam = rng.choice([0.1, 1.0, 10.0])
+            for soft in (False, True):
+                if soft:
+                    net, _ = build_soft_network(inst, b, lam)
+                    assignment, report = solve_soft_exact(inst, b, lam)
+                else:
+                    net, _ = build_hard_network(inst, b)
+                    assignment, report = solve_hard(inst, b)
+                oracle = solve_lp(_network_lp(net))
+                result = min_cost_circulation(net)
+                if result is None:
+                    infeasible += 1
+                    assert oracle.status is LpStatus.INFEASIBLE
+                    assert assignment is None and not soft
+                else:
+                    feasible += 1
+                    assert oracle.status is LpStatus.OPTIMAL
+                    assert result.cost == pytest.approx(oracle.objective, abs=1e-7)
+                    assert result.cost == pytest.approx(report.objective, abs=1e-9)
+                    assert check_circulation(net, result) == []
+        assert feasible > 100 and infeasible > 10
 
-            result = min_cost_circulation(net)
-            if result is None:
-                infeasible += 1
-                assert oracle.status is LpStatus.INFEASIBLE
-            else:
-                feasible += 1
-                assert oracle.status is LpStatus.OPTIMAL
-                assert result.cost == pytest.approx(oracle.objective, abs=1e-7)
-                assert check_circulation(net, result) == []
-        assert feasible > 10 and infeasible > 10
+    def test_mutated_networks_are_rejected_or_solved(self):
+        # A mutant is either no builder's network or some other instance's
+        # network, which must then be solved to a valid circulation.
+        rng = random.Random(47)
+        cases = [(random_instance(rng), rng.choice([1, 2, 3])) for _ in range(150)]
+        rejected = solved = 0
+        for inst, b in cases + edge_cases(rng):
+            for net, _ in (build_hard_network(inst, b), build_soft_network(inst, b, 0.3)):
+                for mutant in _mutants(net, rng):
+                    try:
+                        result = min_cost_circulation(mutant)
+                    except MalformedNetworkError:
+                        rejected += 1
+                        continue
+                    solved += 1
+                    if result is not None:
+                        assert check_circulation(mutant, result) == []
+        assert rejected > 1000 and solved > 50
 
 
 class TestSolveHard:

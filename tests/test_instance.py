@@ -11,8 +11,18 @@ from deskrisk import (
     InvalidInstanceError,
     author_loads,
     basic_objective,
+    build_hard_lp,
+    greedy_assign_hard,
+    greedy_assign_soft,
+    oracle_hard,
+    oracle_soft,
+    rand_assign_hard,
+    rand_assign_soft,
     require_valid,
     soft_objective,
+    solve_hard,
+    solve_soft,
+    solve_soft_exact,
     validate,
 )
 from deskrisk import instance as instance_module
@@ -51,6 +61,9 @@ class TestValidate:
         for lam in (float("inf"), float("nan")):
             inst = Instance(n=1, m=1, authorship=((1, 1),), p=(0.5,), lam=lam)
             assert any("lambda must be > 0 and finite" in v for v in validate(inst))
+        for b in (2.5, float("nan"), True):
+            inst = Instance(n=1, m=1, authorship=((1, 1),), p=(0.5,), b=b)
+            assert validate(inst) == [f"b must be an integer, got {b!r}"]
 
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)
@@ -232,3 +245,29 @@ class TestReportFor:
         inst = Instance.from_rows([[1]], p=[0.5])
         with pytest.raises(ValueError, match="penalty weight"):
             instance_module.report_for(inst, Assignment(nominee=(2,)), "x", soft=(1, None))
+
+
+# Every entry point that takes a nomination limit, called with ``b`` alone.
+LIMITED = {
+    "solve_hard": solve_hard,
+    "solve_soft_exact": lambda inst, b: solve_soft_exact(inst, b, 0.3),
+    "solve_soft": lambda inst, b: solve_soft(inst, b, 0.3),
+    "build_hard_lp": build_hard_lp,
+    "oracle_hard": oracle_hard,
+    "oracle_soft": lambda inst, b: oracle_soft(inst, b, 0.3),
+    "rand_assign_hard": rand_assign_hard,
+    "rand_assign_soft": rand_assign_soft,
+    "greedy_assign_hard": greedy_assign_hard,
+    "greedy_assign_soft": lambda inst, b: greedy_assign_soft(inst, b, 0.3),
+}
+
+
+class TestLimits:
+    @pytest.mark.parametrize("b", [2.5, float("nan"), True], ids=["2.5", "nan", "True"])
+    @pytest.mark.parametrize("name", sorted(LIMITED))
+    def test_non_integer_limit_is_rejected(self, name, b):
+        # At b=2.5 the hard solver used to cap loads at 3, while the LP and the
+        # oracle read the same cap as infeasible.
+        inst = Instance.from_rows([[1], [1], [1], [1, 2]], p=[0.1, 0.9])
+        with pytest.raises(ValueError, match="nomination limit b must be an integer"):
+            LIMITED[name](inst, b)
