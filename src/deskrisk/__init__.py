@@ -64,7 +64,15 @@ from .io import (
     save_assignment,
     save_instance,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, build_hard_lp, build_soft_lp, solve_lp
+from .lp import (
+    LinearProgram,
+    LpSolution,
+    LpStart,
+    LpStatus,
+    build_hard_lp,
+    build_soft_lp,
+    solve_lp,
+)
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationLimitError,
@@ -94,6 +102,7 @@ __all__ = [
     "InvalidInstanceError",
     "LinearProgram",
     "LpSolution",
+    "LpStart",
     "LpStatus",
     "MalformedNetworkError",
     "SolveReport",

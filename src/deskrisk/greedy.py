@@ -12,6 +12,16 @@ import random
 from .instance import Assignment, Instance, SolveReport, report_for, require_valid
 
 
+def cheapest_authors(instance: Instance) -> list[int]:
+    """Each paper's least-irresponsible author, the smallest index among ties.
+
+    ``instance`` must be valid.  Author lists are ascending and ``min`` keeps
+    the first minimizer, so this is the tie rule of :func:`greedy_assign_basic`.
+    """
+    cost = (0.0, *instance.p).__getitem__  # 1-based
+    return [min(row, key=cost) for row in instance.rows]
+
+
 def greedy_assign_basic(
     instance: Instance, seed: int | None = None
 ) -> tuple[Assignment, SolveReport]:
@@ -22,15 +32,13 @@ def greedy_assign_basic(
     argmin set, so the objective is the exact optimum.
     """
     require_valid(instance)
-    rng = random.Random(seed) if seed is not None else None
-    p = instance.p
-    nominee: list[int] = []
-    for row in instance.rows:
-        low = min(p[j - 1] for j in row)
-        ties = [j for j in row if p[j - 1] == low]
-        if rng is None or len(ties) == 1:
-            nominee.append(ties[0])
-        else:
-            nominee.append(ties[rng.randrange(len(ties))])
+    nominee = cheapest_authors(instance)
+    if seed is not None:
+        rng = random.Random(seed)
+        p = instance.p
+        for i, (row, j) in enumerate(zip(instance.rows, nominee)):
+            ties = [k for k in row if p[k - 1] == p[j - 1]]
+            if len(ties) > 1:
+                nominee[i] = ties[rng.randrange(len(ties))]
     assignment = Assignment(nominee=tuple(nominee))
     return assignment, report_for(instance, assignment, "greedy-basic", seed=seed)

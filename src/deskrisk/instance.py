@@ -157,14 +157,13 @@ def validate(instance: Instance) -> list[str]:
 
 
 def _find_violations(instance: Instance) -> list[str]:
-    n, m = instance.n, instance.m
-    violations: list[str] = []
-    if n < 1:
-        violations.append(f"n must be a positive integer, got {n}")
-    if m < 1:
-        violations.append(f"m must be a positive integer, got {m}")
+    n_problem, m_problem = _count_problem("n", instance.n), _count_problem("m", instance.m)
+    violations = [problem for problem in (n_problem, m_problem) if problem]
+    # A count that is not one gives an empty range, as n = 0 does.
+    n = 0 if n_problem else instance.n
+    m = 0 if m_problem else instance.m
     seen: set[tuple[int, int]] = set()
-    covered = [False] * max(n, 0)
+    covered = [False] * n
     for i, j in instance.authorship:
         if not (1 <= i <= n) or not (1 <= j <= m):
             violations.append(f"authorship pair ({i}, {j}) out of range")
@@ -176,8 +175,8 @@ def _find_violations(instance: Instance) -> list[str]:
     for i, ok in enumerate(covered, start=1):
         if not ok:
             violations.append(f"paper {i} has no authors")
-    if len(instance.p) != m:
-        violations.append(f"p has length {len(instance.p)}, expected m={m}")
+    if len(instance.p) != instance.m:
+        violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
     for j, pj in enumerate(instance.p, start=1):
         if not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
@@ -191,6 +190,15 @@ def _find_violations(instance: Instance) -> list[str]:
 
 def _positive_finite(value: float) -> bool:
     return value > 0.0 and math.isfinite(value)
+
+
+def _count_problem(name: str, count: object) -> str:
+    """Why ``count`` is not a positive integer (a bool is not one); "" if it is one."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        return f"{name} must be a positive integer, got {count!r}"
+    if count < 1:
+        return f"{name} must be a positive integer, got {count}"
+    return ""
 
 
 def _limit_problem(b: object) -> str:

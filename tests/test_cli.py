@@ -40,6 +40,15 @@ code = run_cli(sys.argv[2:])
 print(code, *[name for name in sys.argv[1].split(",") if name in sys.modules], file=sys.stderr)
 """
 
+# Runs the CLI, then prints the exit code, whether numpy loaded, and the
+# OpenBLAS thread setting the process ended with, to stderr.
+BLAS_PROBE = """
+import os, sys
+from deskrisk.cli import run_cli
+code = run_cli(sys.argv[1:])
+print(code, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
 # Solves with solve_lp before or after importing scipy.optimize, then solves
 # with both, and prints whether both use one binding module.
 ORDER_PROBE = """
@@ -178,6 +187,20 @@ class TestImportBoundary:
             )
             assert result.returncode == 0, result.stderr
             assert result.stderr.split() == ["0", "numpy", HIGHS_BINDING]
+
+    @pytest.mark.parametrize(("given", "seen"), [(None, "1"), ("2", "2")])
+    def test_lp_command_loads_numpy_with_one_blas_thread_unless_told(self, given, seen, tmp_path):
+        env = src_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        argv = ["solve", self.FRAC, "--variant", "hard", "--b", "1", "--algorithm", "lp",
+                "-o", str(tmp_path / "report.json")]
+        result = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, *argv], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.split() == ["0", "True", seen]
 
     def test_threads_share_one_binding_load(self):
         result = subprocess.run(

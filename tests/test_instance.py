@@ -65,6 +65,20 @@ class TestValidate:
             inst = Instance(n=1, m=1, authorship=((1, 1),), p=(0.5,), b=b)
             assert validate(inst) == [f"b must be an integer, got {b!r}"]
 
+    @pytest.mark.parametrize(
+        ("n", "m", "message"),
+        [
+            (2.5, 1, "n must be a positive integer, got 2.5"),
+            (True, 1, "n must be a positive integer, got True"),
+            (1, 1.5, "m must be a positive integer, got 1.5"),
+        ],
+    )
+    def test_non_integer_count_is_a_violation(self, n, m, message):
+        inst = Instance(n=n, m=m, authorship=((1, 1),), p=(0.5,))
+        assert validate(inst)[0] == message
+        with pytest.raises(InvalidInstanceError, match=re.escape(message)):
+            require_valid(inst)
+
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)
         assert len(validate(inst)) == 3

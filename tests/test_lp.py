@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 from conftest import FIXTURES, edge_cases, random_instance
@@ -10,10 +11,12 @@ from deskrisk import (
     GeneratorSpec,
     Instance,
     LinearProgram,
+    LpStart,
     LpStatus,
     build_hard_lp,
     build_soft_lp,
     generate,
+    greedy_assign_basic,
     load_instance,
     oracle_hard,
     solve_hard,
@@ -370,10 +373,11 @@ def near_integer(value: float) -> bool:
 class TestAssignmentVertices:
     """Both relaxations are totally unimodular, so a simplex answer is an integral vertex."""
 
-    @pytest.mark.parametrize(("soft", "budget"), [(False, 9_000), (True, 6_000)])
+    @pytest.mark.parametrize(("soft", "budget"), [(False, 5_000), (True, 2_000)])
     def test_conference_lps_certify_within_an_iteration_budget(self, soft, budget):
-        # Dual simplex with devex pricing takes 6,043 (hard) and 3,679 (soft)
-        # iterations here; HiGHS's default pricing takes 11,422 and 11,909.
+        # Dual simplex with devex pricing, started from the basic greedy's
+        # basis, takes 3,753 (hard) and 544 (soft) iterations here; from the
+        # slack basis it takes 6,043 and 3,679.
         inst = generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=42))
         lp = build_soft_lp(inst, 5, 0.3)[0] if soft else build_hard_lp(inst, 5)[0]
         solution = solve_lp(lp)
@@ -405,3 +409,107 @@ class TestAssignmentVertices:
             _, exact = solve_soft_exact(inst, b, lam)
             assert math.isclose(rounded.lp_bound, exact.objective, rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(rounded.gap, 0.0, abs_tol=1e-9 * max(1.0, exact.objective))
+
+
+def warm_start_cases() -> list[tuple[str, Instance, int]]:
+    """(source, instance, b): the fixtures, the edge cases, 300 random draws
+    and the exact cases, each at b = 1, 2, 3 and at its own b if it has one."""
+    rng = random.Random(61)
+    cases = [(path.stem, load_instance(path), None) for path in sorted(FIXTURES.glob("*.json"))]
+    cases += [("edge", inst, b) for inst, b in edge_cases(random.Random(62))]
+    cases += [("random", random_instance(rng), None) for _ in range(300)]
+    cases += [("exact", inst, b) for inst, b in exact_cases()]
+    return [
+        (source, inst, b)
+        for source, inst, own in cases
+        for b in sorted({1, 2, 3, own} - {None})
+    ]
+
+
+class TestWarmStart:
+    """The assignment programs start from the basic greedy's basis; the answer must not move."""
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_start_changes_no_answer(self, soft):
+        rng = random.Random(63)
+        statuses = set()
+        for source, inst, b in warm_start_cases():
+            lam = rng.choice([0.05, 0.3, 2.0])
+            lp = build_soft_lp(inst, b, lam)[0] if soft else build_hard_lp(inst, b)[0]
+            assert lp.start is not None
+            warm, cold = solve_lp(lp), solve_lp(replace(lp, start=None))
+            assert warm.status is cold.status, (source, b)
+            assert warm.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE), warm.message
+            statuses.add(warm.status)
+            if warm.status is LpStatus.OPTIMAL:
+                assert math.isclose(warm.objective, cold.objective, rel_tol=1e-9, abs_tol=1e-12)
+        # Every soft program is feasible; some hard ones are not.
+        assert statuses == ({LpStatus.OPTIMAL} if soft else {LpStatus.OPTIMAL, LpStatus.INFEASIBLE})
+
+    def test_start_is_the_basic_greedy(self):
+        # Author 1 is cheapest on all three papers, so at b = 1 it is overloaded.
+        inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
+        nominee = greedy_assign_basic(inst)[0].nominee
+        assert nominee == (1, 1, 1)
+        lp, pair_vars = build_hard_lp(inst, 1)
+        basic = tuple(pair_vars[pair] for pair in enumerate(nominee, start=1))
+        assert lp.start == LpStart(basic, ())
+        lp, pair_vars, y_vars = build_soft_lp(inst, 1, 0.5)
+        assert lp.start == LpStart(basic + (y_vars[1],), (0,))
+
+    @staticmethod
+    def soft_program():
+        lp = build_soft_lp(Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5]), 1, 0.5)[0]
+        lp.check()
+        assert lp.start.tight == (0,)
+        return lp
+
+    @pytest.mark.parametrize(
+        ("mutate", "message"),
+        [
+            (lambda basic, tight: (basic[:-1], tight), "start has 3 basic variables, expected 4"),
+            (lambda basic, tight: (basic, ()), "start has 4 basic variables, expected 3"),
+            (lambda basic, tight: ((7,) + basic[1:], tight), "start names variable 7, have 7"),
+            (lambda basic, tight: ((-1,) + basic[1:], tight), "start names variable -1, have 7"),
+            (lambda basic, tight: ((1.0,) + basic[1:], tight), "start names variable 1.0, have 7"),
+            (lambda basic, tight: (basic[:1] + basic[:-1], tight), "twice"),
+            (lambda basic, tight: (basic + (6,), (0, 0)), "row 0 tight twice"),
+            (lambda basic, tight: (basic, (2,)), "row 2 tight, which is not a '<=' row"),
+            (lambda basic, tight: (basic, (-1,)), "row -1 tight, which is not a '<=' row"),
+        ],
+        ids=[
+            "too-few", "too-many", "past-the-end", "negative", "float", "duplicate-variable",
+            "duplicate-row", "row-out-of-range", "negative-row",
+        ],
+    )
+    def test_malformed_start_is_rejected(self, mutate, message):
+        lp = self.soft_program()
+        lp.start = LpStart(*mutate(*lp.start))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lp.check()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_lp(lp)
+
+    def test_tight_row_must_be_a_leq_row(self):
+        lp = LinearProgram.minimize([1.0, 1.0])
+        lp.add_ineq([(0, 1.0)], 0.5, ">=")
+        lp.add_ineq([(1, 1.0)], 2.0, "<=")
+        lp.start = LpStart((1,), (1,))
+        lp.check()
+        assert solve_lp(lp).objective == pytest.approx(0.5, abs=1e-9)
+        lp.start = LpStart((0,), (0,))
+        with pytest.raises(ValueError, match=re.escape("row 0 tight, which is not a '<=' row")):
+            lp.check()
+
+    def test_rejected_basis_is_an_error(self, monkeypatch):
+        real = lp_module._basis
+
+        def short_basis(core, form):
+            basis = real(core, form)
+            basis.row_status = basis.row_status[:-1]
+            return basis
+
+        monkeypatch.setattr(lp_module, "_basis", short_basis)
+        solution = solve_lp(self.soft_program())
+        assert solution.status is LpStatus.ERROR
+        assert solution.message == "HiGHS rejected the starting basis"
