@@ -194,10 +194,8 @@ def _positive_finite(value: float) -> bool:
 
 def _count_problem(name: str, count: object) -> str:
     """Why ``count`` is not a positive integer (a bool is not one); "" if it is one."""
-    if isinstance(count, bool) or not isinstance(count, int):
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         return f"{name} must be a positive integer, got {count!r}"
-    if count < 1:
-        return f"{name} must be a positive integer, got {count}"
     return ""
 
 

@@ -535,6 +535,8 @@ def build_hard_lp(
     One variable per authorship pair (pairs absent from the incidence are
     fixed at zero and never materialized), one equality row per paper, one
     ``<=`` row per author.  Returns the program and the pair-to-variable map.
+    The program starts from the basic greedy's basis (see the module
+    docstring); a caller that adds an equality row must reset ``start``.
     """
     lp, pair_vars, _ = _assignment_lp(instance, b, None, soft=False)
     return lp, pair_vars
@@ -546,6 +548,6 @@ def build_soft_lp(
     """Epigraph program: the hard relaxation plus an overload variable per author.
 
     Returns the program, the pair-to-variable map, and the author-to-overload
-    variable map.
+    variable map.  As in :func:`build_hard_lp`, the program carries a start.
     """
     return _assignment_lp(instance, b, lam, soft=True)
