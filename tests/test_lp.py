@@ -447,7 +447,8 @@ class TestWarmStart:
         assert statuses == ({LpStatus.OPTIMAL} if soft else {LpStatus.OPTIMAL, LpStatus.INFEASIBLE})
 
     def test_start_is_the_basic_greedy(self):
-        # Author 1 is cheapest on all three papers, so at b = 1 it is overloaded.
+        # The authors tie, so the lower index takes all three papers and is
+        # overloaded at b = 1.
         inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
         nominee = greedy_assign_basic(inst)[0].nominee
         assert nominee == (1, 1, 1)
