@@ -6,7 +6,7 @@ Three problem variants over the same instance data:
   desk-rejected papers (:func:`greedy_assign_basic` is exact);
 * hard limit: additionally cap how many papers may nominate one author
   (:func:`solve_hard` is exact and integral, and reports infeasibility when
-  the cap cannot be met);
+  the cap cannot be met; :func:`solve_hard_lp` solves the relaxation);
 * soft limit: replace the cap with a per-overload penalty
   (:func:`solve_soft` relaxes and rounds, :func:`solve_soft_exact` is the
   integral optimum).
@@ -71,6 +71,7 @@ from .lp import (
     LpStatus,
     build_hard_lp,
     build_soft_lp,
+    solve_hard_lp,
     solve_lp,
 )
 from .oracle import (
@@ -136,6 +137,7 @@ __all__ = [
     "save_instance",
     "soft_objective",
     "solve_hard",
+    "solve_hard_lp",
     "solve_lp",
     "solve_soft",
     "solve_soft_exact",

@@ -13,19 +13,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
-from .baselines import greedy_assign_hard, greedy_assign_soft, rand_assign_hard, rand_assign_soft
+from .baselines import (
+    BaselineResult,
+    greedy_assign_hard,
+    greedy_assign_soft,
+    rand_assign_hard,
+    rand_assign_soft,
+)
 from .flow import FlowNetwork, build_hard_network, build_soft_network, solve_hard
 from .generate import GeneratorSpec, generate
 from .greedy import greedy_assign_basic
 from .instance import (
     Assignment,
+    FractionalSolution,
     Instance,
     SolveReport,
     SolveStatus,
-    assignment_from_pairs,
     report_for,
     require_valid,
     validate,
@@ -38,7 +44,7 @@ from .io import (
     report_to_dict,
     save_instance,
 )
-from .lp import LinearProgram, LpStatus, build_hard_lp, build_soft_lp, solve_lp
+from .lp import INTEGRALITY_TOL, LinearProgram, build_hard_lp, build_soft_lp, solve_hard_lp
 from .oracle import DEFAULT_ENUMERATION_CAP, oracle_basic, oracle_hard, oracle_soft
 from .soft import solve_soft, solve_soft_exact
 
@@ -46,12 +52,71 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
-INTEGRALITY_TOL = 1e-9
 
-ALGORITHMS = {
-    "basic": ("greedy", "oracle"),
-    "hard": ("flow", "lp", "oracle", "baseline-rand", "baseline-greedy"),
-    "soft": ("lp-round", "exact-flow", "oracle", "baseline-rand", "baseline-greedy"),
+def _reported(
+    instance: Instance, solver: str, found: Any, seed: int | None = None, soft: tuple | None = None
+) -> tuple[Assignment | None, SolveReport]:
+    """Report an oracle's or a baseline's answer; Infeasible when it has none.
+
+    ``found`` is an assignment, an ``(assignment, objective)`` pair, a
+    :class:`BaselineResult` (``err`` means none), or ``None``.  ``soft`` is
+    ``(b, lam)`` for the soft objective.
+    """
+    if isinstance(found, tuple):
+        found = found[0]
+    elif isinstance(found, BaselineResult):
+        found = None if found.err else found.assignment
+    if found is None:
+        return None, SolveReport(status=SolveStatus.INFEASIBLE, solver=solver, seed=seed)
+    return found, report_for(instance, found, solver, seed, soft)
+
+
+# (variant, algorithm) -> the library call that answers it.  Limits go to the
+# solvers as given; an unset one means the instance's own.
+ROUTES: dict[tuple[str, str], Callable[..., tuple[Any, SolveReport]]] = {
+    ("basic", "greedy"): lambda inst, a: greedy_assign_basic(inst, seed=a.seed),
+    ("basic", "oracle"): lambda inst, a: _reported(
+        inst, "oracle-basic", oracle_basic(inst, cap=a.cap)
+    ),
+    ("hard", "flow"): lambda inst, a: solve_hard(inst, a.b),
+    ("hard", "lp"): lambda inst, a: solve_hard_lp(inst, a.b),
+    ("hard", "oracle"): lambda inst, a: _reported(
+        inst, "oracle-hard", oracle_hard(inst, a.b, cap=a.cap)
+    ),
+    ("hard", "baseline-rand"): lambda inst, a: _reported(
+        inst, "baseline-rand-hard", rand_assign_hard(inst, a.b, seed=a.seed), a.seed
+    ),
+    ("hard", "baseline-greedy"): lambda inst, a: _reported(
+        inst, "baseline-greedy-hard", greedy_assign_hard(inst, a.b, seed=a.seed), a.seed
+    ),
+    ("soft", "lp-round"): lambda inst, a: solve_soft(inst, a.b, a.lam),
+    ("soft", "exact-flow"): lambda inst, a: solve_soft_exact(inst, a.b, a.lam),
+    ("soft", "oracle"): lambda inst, a: _reported(
+        inst, "oracle-soft", oracle_soft(inst, a.b, a.lam, cap=a.cap), soft=(a.b, a.lam)
+    ),
+    ("soft", "baseline-rand"): lambda inst, a: _reported(
+        inst, "baseline-rand-soft", rand_assign_soft(inst, a.b, seed=a.seed), a.seed, (a.b, a.lam)
+    ),
+    ("soft", "baseline-greedy"): lambda inst, a: _reported(
+        inst,
+        "baseline-greedy-soft",
+        greedy_assign_soft(inst, a.b, a.lam, seed=a.seed),
+        a.seed,
+        (a.b, a.lam),
+    ),
+}
+
+# The model a route exports: the paper's flow network on the flow routes
+# (--dump-network), the linear program on the LP routes (--dump-lp).
+EXPORTS: dict[str, dict[tuple[str, str], Callable[..., FlowNetwork | LinearProgram]]] = {
+    "network": {
+        ("hard", "flow"): lambda inst, a: build_hard_network(inst, a.b)[0],
+        ("soft", "exact-flow"): lambda inst, a: build_soft_network(inst, a.b, a.lam)[0],
+    },
+    "lp": {
+        ("hard", "lp"): lambda inst, a: build_hard_lp(inst, a.b)[0],
+        ("soft", "lp-round"): lambda inst, a: build_soft_lp(inst, a.b, a.lam)[0],
+    },
 }
 
 
@@ -74,7 +139,7 @@ def run_cli(argv: list[str]) -> int:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         # Input errors are ValueErrors; the oracle's enumeration cap and a
-        # backend answer the soft solvers refuse to trust are RuntimeErrors.
+        # failed or untrusted LP backend answer are RuntimeErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -106,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--algorithm",
         required=True,
-        choices=sorted({name for names in ALGORITHMS.values() for name in names}),
+        choices=sorted({algorithm for _, algorithm in ROUTES}),
     )
     p_solve.add_argument("--seed", type=int, help="seed for randomized tie-breaking")
     p_solve.add_argument("--dump-network", metavar="PATH", help="dump the flow network as JSON")
@@ -176,27 +241,34 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.algorithm not in ALGORITHMS[args.variant]:
-        valid = ", ".join(ALGORITHMS[args.variant])
+    route = (args.variant, args.algorithm)
+    if route not in ROUTES:
+        valid = ", ".join(algorithm for variant, algorithm in ROUTES if variant == args.variant)
         raise ValueError(
             f"algorithm {args.algorithm!r} does not apply to the {args.variant} variant"
             f" (choose from: {valid})"
         )
     instance = load_instance(args.file)
     require_valid(instance)
-    # Limits go to the solvers as given; an unset one means the instance's own.
-    if args.dump_network:
-        _dump_network(args, instance)
-    if args.dump_lp:
-        _dump_lp(args, instance)
-
-    if args.variant == "basic":
-        report_obj = _solve_basic(args, instance)
-    elif args.variant == "hard":
-        report_obj = _solve_hard(args, instance)
+    for kind, builders in EXPORTS.items():
+        path = getattr(args, f"dump_{kind}")
+        if path:
+            if route not in builders:
+                names = " and ".join(algorithm for _, algorithm in builders)
+                raise ValueError(f"--dump-{kind} applies to the {names} algorithms")
+            Path(path).write_text(dumps(_model_to_dict(builders[route](instance, args))))
+    solution, report = ROUTES[route](instance, args)
+    extra = None
+    if isinstance(solution, FractionalSolution):
+        x = sorted(solution.x.items())
+        extra = {"x": [[i, j, value] for (i, j), value in x if value > INTEGRALITY_TOL]}
+        solution = None
+    text = dumps(report_to_dict(report, solution, extra))
+    if args.output:
+        Path(args.output).write_text(text)
     else:
-        report_obj = _solve_soft(args, instance)
-    return _emit(args, report_obj)
+        sys.stdout.write(text)
+    return EXIT_INFEASIBLE if report.status is SolveStatus.INFEASIBLE else EXIT_OK
 
 
 def _cmd_import_csv(args: argparse.Namespace) -> int:
@@ -206,161 +278,26 @@ def _cmd_import_csv(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report(
-    instance: Instance,
-    assignment: Assignment,
-    solver: str,
-    seed: int | None = None,
-    soft: tuple[int | None, float | None] | None = None,
-) -> dict[str, Any]:
-    return report_to_dict(report_for(instance, assignment, solver, seed, soft), assignment)
-
-
-def _solve_basic(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
-    if args.algorithm == "greedy":
-        assignment, report = greedy_assign_basic(instance, seed=args.seed)
-        return report_to_dict(report, assignment)
-    assignment, _ = oracle_basic(instance, cap=args.cap)
-    return _report(instance, assignment, "oracle-basic")
-
-
-def _solve_hard(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
-    if args.algorithm == "flow":
-        assignment, report = solve_hard(instance, args.b)
-        return report_to_dict(report, assignment)
-    if args.algorithm == "lp":
-        return _solve_hard_lp(instance, args.b)
-    if args.algorithm == "oracle":
-        best = oracle_hard(instance, args.b, cap=args.cap)
-        if best is None:
-            return report_to_dict(SolveReport(status=SolveStatus.INFEASIBLE, solver="oracle-hard"))
-        return _report(instance, best[0], "oracle-hard")
-    if args.algorithm == "baseline-rand":
-        result = rand_assign_hard(instance, args.b, seed=args.seed)
-        solver = "baseline-rand-hard"
-    else:
-        result = greedy_assign_hard(instance, args.b, seed=args.seed)
-        solver = "baseline-greedy-hard"
-    if result.err:
-        return report_to_dict(
-            SolveReport(status=SolveStatus.INFEASIBLE, solver=solver, seed=args.seed)
-        )
-    return _report(instance, result.assignment, solver, args.seed)
-
-
-def _solve_hard_lp(instance: Instance, b: int | None) -> dict[str, Any]:
-    lp, pair_vars = build_hard_lp(instance, b)
-    solution = solve_lp(lp)
-    if solution.status is LpStatus.INFEASIBLE:
-        return report_to_dict(SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp"))
-    if solution.status is not LpStatus.OPTIMAL:
-        return report_to_dict(
-            SolveReport(status=SolveStatus.ERROR, solver="hard-lp"),
-            extra={"message": solution.message},
-        )
-    assert solution.values is not None
-    integral = all(
-        min(value, abs(value - 1.0)) <= INTEGRALITY_TOL for value in solution.values
-    )
-    if integral:
-        assignment = assignment_from_pairs(instance, pair_vars, solution.values)
-        report = replace(report_for(instance, assignment, "hard-lp"), integral=True)
-        return report_to_dict(report, assignment)
-    expected = 0.0
-    for (_, j), k in pair_vars.items():
-        expected += instance.p[j - 1] * solution.values[k]
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=expected,
-        expected_rejections=expected,
-        penalty=0.0,
-        loads=None,
-        solver="hard-lp",
-        integral=False,
-    )
-    fractional = [
-        [i, j, solution.values[k]]
-        for (i, j), k in sorted(pair_vars.items())
-        if solution.values[k] > INTEGRALITY_TOL
-    ]
-    return report_to_dict(report, extra={"x": fractional})
-
-
-def _solve_soft(args: argparse.Namespace, instance: Instance) -> dict[str, Any]:
-    if args.algorithm == "lp-round":
-        assignment, report = solve_soft(instance, args.b, args.lam)
-        return report_to_dict(report, assignment)
-    if args.algorithm == "exact-flow":
-        assignment, report = solve_soft_exact(instance, args.b, args.lam)
-        return report_to_dict(report, assignment)
-    if args.algorithm == "oracle":
-        assignment, _ = oracle_soft(instance, args.b, args.lam, cap=args.cap)
-        return _report(instance, assignment, "oracle-soft", soft=(args.b, args.lam))
-    if args.algorithm == "baseline-rand":
-        assignment = rand_assign_soft(instance, args.b, seed=args.seed)
-        return _report(instance, assignment, "baseline-rand-soft", args.seed, (args.b, args.lam))
-    assignment = greedy_assign_soft(instance, args.b, args.lam, seed=args.seed)
-    return _report(instance, assignment, "baseline-greedy-soft", args.seed, (args.b, args.lam))
-
-
-def _emit(args: argparse.Namespace, report_obj: dict[str, Any]) -> int:
-    text = dumps(report_obj)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if report_obj["status"] == SolveStatus.INFEASIBLE.value:
-        return EXIT_INFEASIBLE
-    if report_obj["status"] == SolveStatus.ERROR.value:
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
-
-
-def _network_to_dict(network: FlowNetwork) -> dict[str, Any]:
+def _model_to_dict(model: FlowNetwork | LinearProgram) -> dict[str, Any]:
+    if isinstance(model, FlowNetwork):
+        return {
+            "format": 1,
+            "num_vertices": model.num_vertices,
+            "supply": list(model.supply),
+            "edges": [[e.tail, e.head, e.lower, e.capacity, e.cost] for e in model.edges],
+        }
     return {
         "format": 1,
-        "num_vertices": network.num_vertices,
-        "supply": list(network.supply),
-        "edges": [[e.tail, e.head, e.lower, e.capacity, e.cost] for e in network.edges],
-    }
-
-
-def _lp_to_dict(lp: LinearProgram) -> dict[str, Any]:
-    return {
-        "format": 1,
-        "num_vars": lp.num_vars,
-        "objective": list(lp.objective),
-        "lower": list(lp.lower),
-        "upper": list(lp.upper),
-        "eq": [{"coeffs": [[k, c] for k, c in row], "rhs": rhs} for row, rhs in lp.eq_rows],
+        "num_vars": model.num_vars,
+        "objective": list(model.objective),
+        "lower": list(model.lower),
+        "upper": list(model.upper),
+        "eq": [{"coeffs": [[k, c] for k, c in row], "rhs": rhs} for row, rhs in model.eq_rows],
         "ineq": [
             {"coeffs": [[k, c] for k, c in row], "rhs": rhs, "sense": sense}
-            for row, rhs, sense in lp.ineq_rows
+            for row, rhs, sense in model.ineq_rows
         ],
     }
-
-
-def _dump_network(args: argparse.Namespace, instance: Instance) -> None:
-    if args.variant == "hard" and args.algorithm == "flow":
-        network, _ = build_hard_network(instance, args.b)
-    elif args.variant == "soft" and args.algorithm == "exact-flow":
-        network, _ = build_soft_network(instance, args.b, args.lam)
-    else:
-        raise ValueError("--dump-network applies to the flow and exact-flow algorithms")
-    with open(args.dump_network, "w") as handle:
-        handle.write(dumps(_network_to_dict(network)))
-
-
-def _dump_lp(args: argparse.Namespace, instance: Instance) -> None:
-    if args.variant == "hard" and args.algorithm == "lp":
-        lp, _ = build_hard_lp(instance, args.b)
-    elif args.variant == "soft" and args.algorithm == "lp-round":
-        lp, _, _ = build_soft_lp(instance, args.b, args.lam)
-    else:
-        raise ValueError("--dump-lp applies to the lp and lp-round algorithms")
-    with open(args.dump_lp, "w") as handle:
-        handle.write(dumps(_lp_to_dict(lp)))
 
 
 if __name__ == "__main__":

@@ -162,15 +162,17 @@ def _find_violations(instance: Instance) -> list[str]:
     # A count that is not one gives an empty range, as n = 0 does.
     n = 0 if n_problem else instance.n
     m = 0 if m_problem else instance.m
-    seen: set[tuple[int, int]] = set()
     covered = [False] * n
-    for i, j in instance.authorship:
+    # The authorship is sorted, so equal pairs are adjacent.
+    previous = None
+    for pair in instance.authorship:
+        i, j = pair
         if not (1 <= i <= n) or not (1 <= j <= m):
             violations.append(f"authorship pair ({i}, {j}) out of range")
             continue
-        if (i, j) in seen:
+        if pair == previous:
             violations.append(f"duplicate authorship pair ({i}, {j})")
-        seen.add((i, j))
+        previous = pair
         covered[i - 1] = True
     for i, ok in enumerate(covered, start=1):
         if not ok:

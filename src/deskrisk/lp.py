@@ -18,41 +18,39 @@ being trusted; so does one whose residual or gap is NaN.
 The backend is HiGHS's dual simplex with devex pricing (Harris 1973; Huangfu
 & Hall 2018), a fixed setting like the tolerances.  The assignment programs
 built here are degenerate transportation LPs, and on them HiGHS's default
-dual steepest-edge pricing takes 2-8x more iterations: from the slack basis,
-11,422 against 6,043 for the hard program and 11,909 against 3,679 for the
-soft one on a 2000 x 500 instance, 41,031 against 17,783 and 104,138 against
-12,310 on a 6000 x 1500 one.  There devex also beat the interior-point
-method and Dantzig pricing.  A simplex answer is a vertex, and both programs
-are totally unimodular, so it is integral.
+dual steepest-edge pricing takes 2-8x more iterations; devex also beats the
+interior-point method and Dantzig pricing.  A simplex answer is a vertex,
+and both programs are totally unimodular, so it is integral.
 
 The builders do not start HiGHS from the slack basis but from the basic
-greedy's nominees (Bixby 1992 on initial bases): each paper's basic
-variable is the pair of its cheapest author, lowest index on ties, and each
-author row keeps its slack basic.  In the soft program an author whose
-greedy load exceeds ``b`` has ``y_j`` basic instead, with its row held at
-``b``.  Each author row holds exactly one of its slack or ``y_j`` and each
-paper row one pair, so the basis is nonsingular.  In the hard program the
-paper duals are each paper's lowest ``p``, so every reduced cost is
-``p_j - min p >= 0``: the basis is dual feasible, and dual simplex only
-repairs the overloaded authors.  In the soft program ``y_j = load_j - b``
-makes it primal feasible.  Iterations drop to 3,753 (hard) and 544 (soft)
-at 2000 x 500 and to 9,431 and 1,500 at 6000 x 1500.  With a basis set,
-HiGHS skips presolve.  The start changes which vertex is reached when
-several are optimal (tied ``p``, for one), never the optimal value, and the
-certificate trusts nothing from it.  A :class:`LinearProgram` without a
-start solves from the slack basis.
+greedy's nominees (Bixby 1992 on initial bases): each paper's basic variable
+is the pair of its cheapest author, lowest index on ties, and each author
+row keeps its slack basic.  In the soft program an author whose greedy load
+exceeds ``b`` has ``y_j`` basic instead, with its row held at ``b``.  Each
+author row holds exactly one of its slack or ``y_j`` and each paper row one
+pair, so the basis is nonsingular.  In the hard program the paper duals are
+each paper's lowest ``p``, so every reduced cost is ``p_j - min p >= 0``:
+the basis is dual feasible, and dual simplex only repairs the overloaded
+authors.  In the soft program ``y_j = load_j - b`` makes it primal feasible.
+The solves take 3,753 (hard) and 544 (soft) iterations at 2000 x 500, and
+9,431 and 1,500 at 6000 x 1500.  With a basis set, HiGHS skips presolve.
+The start changes which vertex is reached when several are optimal (tied
+``p``, for one), never the optimal value, and the certificate trusts nothing
+from it.  A :class:`LinearProgram` without a start solves from the slack
+basis.
 
-HiGHS gets the model scipy's own LP front end builds, so it pivots the same
-way: the inequality rows first (each ``>=`` row negated into a ``<=`` row),
-then the equality rows, stored column by column with each column's rows
-ascending.  Importing ``scipy.optimize`` loads scipy's linalg, sparse,
-special and spatial packages and takes most of a second, so the binding is
-loaded on its own, once per process, and reused if ``scipy.optimize``
-already loaded it.  numpy is imported inside :func:`solve_lp` and its
-helpers (:meth:`LinearProgram.check` included), not at module level:
-building a :class:`LinearProgram` needs only the standard library, so the
-greedy, flow, oracle and validate paths (and ``import deskrisk``) load
-neither numpy nor the binding.
+HiGHS gets the matrix row by row: the inequality rows first (each ``>=`` row
+negated into a ``<=`` row), then the equality rows, each in the order the
+program stores it.  That is the row order scipy's own LP front end uses; the
+row order steers the pivots, and equality rows first would change them.
+Importing ``scipy.optimize`` loads scipy's linalg, sparse, special and
+spatial packages and takes most of a second, so the binding is loaded on its
+own, once per process, and reused if ``scipy.optimize`` already loaded it.
+numpy is imported inside :func:`solve_lp` and its helpers
+(:meth:`LinearProgram.check` included), not at module level: building a
+:class:`LinearProgram` needs only the standard library, so the greedy, flow,
+oracle and validate paths (and ``import deskrisk``) load neither numpy nor
+the binding.
 """
 
 from __future__ import annotations
@@ -61,20 +59,33 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 
 from .greedy import cheapest_authors
-from .instance import Assignment, Instance, author_loads, require_valid, resolve_limits
+from .instance import (
+    Assignment,
+    FractionalSolution,
+    Instance,
+    SolveReport,
+    SolveStatus,
+    assignment_from_pairs,
+    author_loads,
+    report_for,
+    require_valid,
+    resolve_limits,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
+# A pair weight this close to 0 or 1 counts as integral.
+INTEGRALITY_TOL = 1e-9
 
 Sense = Literal["<=", ">="]
 SparseRow = list[tuple[int, float]]
@@ -361,15 +372,14 @@ def _run_highs(form: _SolverForm) -> _HighsAnswer:
     model.col_upper_ = form.upper
     model.row_lower_ = form.row_lower
     model.row_upper_ = form.row_upper
-    # Column by column, each column's rows ascending; see the module docstring.
-    order = np.argsort(form.col, kind="stable")
+    # Row by row, in the form's row order; see the module docstring.
     matrix = model.a_matrix_
-    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.format_ = core.MatrixFormat.kRowwise
     matrix.num_col_ = num_cols
     matrix.num_row_ = num_rows
-    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(form.col, minlength=num_cols))))
-    matrix.index_ = form.row[order]
-    matrix.value_ = form.value[order]
+    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(form.row, minlength=num_rows))))
+    matrix.index_ = form.col
+    matrix.value_ = form.value
 
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS.items():
@@ -551,3 +561,57 @@ def build_soft_lp(
     variable map.  As in :func:`build_hard_lp`, the program carries a start.
     """
     return _assignment_lp(instance, b, lam, soft=True)
+
+
+def solve_hard_lp(
+    instance: Instance, b: int | None = None
+) -> tuple[Assignment | FractionalSolution | None, SolveReport]:
+    """Certified optimum of :func:`build_hard_lp`'s relaxation.
+
+    Returns the assignment when every pair weight is within
+    ``INTEGRALITY_TOL`` of 0 or 1, with a :func:`.instance.report_for` report
+    marked ``integral``; ``(None, report)`` with an Infeasible status when no
+    fractional assignment meets the cap; otherwise the fractional solution,
+    with its expected rejections as the objective, no loads, and
+    ``integral=False``.  A backend failure raises ``RuntimeError``.
+    """
+    lp, pair_vars = build_hard_lp(instance, b)
+    solution = solve_lp(lp)
+    if solution.status is LpStatus.INFEASIBLE:
+        return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
+    x, expected = _read_pairs(instance, pair_vars, solution, "hard relaxation")
+    if all(min(value, abs(value - 1.0)) <= INTEGRALITY_TOL for value in x.values()):
+        assignment = assignment_from_pairs(instance, pair_vars, solution.values)
+        return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
+    report = SolveReport(
+        status=SolveStatus.OPTIMAL,
+        objective=expected,
+        expected_rejections=expected,
+        penalty=0.0,
+        loads=None,
+        solver="hard-lp",
+        integral=False,
+    )
+    return FractionalSolution(x=x), report
+
+
+def _read_pairs(
+    instance: Instance,
+    pair_vars: dict[tuple[int, int], int],
+    solution: LpSolution,
+    name: str,
+) -> tuple[dict[tuple[int, int], float], float]:
+    """The pair weights of a certified answer and their expected rejections.
+
+    The sum runs in pair order, so equal answers give bit-identical totals.
+    Raises ``RuntimeError`` naming the program ``name`` unless ``solution``
+    is a certified optimum.
+    """
+    if solution.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"{name} failed: {solution.status.value} {solution.message}")
+    assert solution.values is not None
+    x = {pair: solution.values[k] for pair, k in pair_vars.items()}
+    expected = 0.0
+    for (_, j), value in x.items():
+        expected += instance.p[j - 1] * value
+    return x, expected

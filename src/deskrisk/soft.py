@@ -39,7 +39,7 @@ from .instance import (
     require_valid,
     resolve_limits,
 )
-from .lp import LpStatus, build_soft_lp, solve_lp
+from .lp import _read_pairs, build_soft_lp, solve_lp
 
 EQUIVALENCE_TOL = 1e-7
 
@@ -57,10 +57,7 @@ def solve_soft_relaxed(
     b, lam = resolve_limits(instance, b, lam, soft=True)
     lp, pair_vars, y_vars = build_soft_lp(instance, b, lam)
     solution = solve_lp(lp)
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"soft relaxation failed: {solution.status.value} {solution.message}")
-    assert solution.values is not None
-    x = {pair: solution.values[k] for pair, k in pair_vars.items()}
+    x, expected_rejections = _read_pairs(instance, pair_vars, solution, "soft relaxation")
     y = tuple(solution.values[y_vars[j]] for j in range(1, instance.m + 1))
     fractional = FractionalSolution(x=x, y=y)
 
@@ -72,9 +69,6 @@ def solve_soft_relaxed(
                 f"overload variable y_{j}={y_j!r} differs from max(0, load-b)={expected!r}"
             )
 
-    expected_rejections = 0.0
-    for (_, j), value in x.items():
-        expected_rejections += instance.p[j - 1] * value
     penalty = lam * sum(y)
     report = SolveReport(
         status=SolveStatus.OPTIMAL,

@@ -401,6 +401,37 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "numerical trouble" in err
 
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "-o"])
+    def test_hard_lp_backend_failure_is_an_error_exit(self, output, monkeypatch, tmp_path, capsys):
+        failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
+        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: failed)
+        out = tmp_path / "report.json"
+        argv = ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard", "--b", "1",
+                "--algorithm", "lp"]
+        code = run_cli(argv + (["-o", str(out)] if output else []))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hard relaxation failed: Error numerical trouble\n"
+        assert not out.exists()
+
+    def test_fractional_hard_lp_answer_reports_the_nonzero_weights(self, monkeypatch, capsys):
+        # frac_2x2's pairs (1, 1), (1, 2), (2, 1), (2, 2), at p = 1/6 each.
+        values = (0.5, 0.5, 0.0, 1.0)
+        answer = LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
+        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: answer)
+        code = run_cli(["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard",
+                        "--b", "1", "--algorithm", "lp"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "Optimal"
+        assert report["integral"] is False
+        assert report["loads"] is None
+        assert "nominee" not in report
+        assert report["x"] == [[1, 1, 0.5], [1, 2, 0.5], [2, 2, 1.0]]
+        assert report["objective"] == report["expected_rejections"] == pytest.approx(1 / 3)
+        assert report["penalty"] == 0.0
+
     def test_wrong_variant_algorithm_combo_is_an_input_error(self, capsys):
         code = run_cli(
             ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "basic",

@@ -49,6 +49,16 @@ class TestValidate:
         inst = Instance(n=1, m=2, authorship=((1, 1), (1, 1)), p=(0.5, 0.5))
         assert any("duplicate authorship pair (1, 1)" in v for v in validate(inst))
 
+    def test_repeated_pairs_are_reported_once_per_extra_copy(self):
+        pairs = ((3, 1), (1, 1), (2, 2), (1, 1), (3, 1), (1, 1))
+        inst = Instance(n=2, m=2, authorship=pairs, p=(0.5, 0.5))
+        assert validate(inst) == [
+            "duplicate authorship pair (1, 1)",
+            "duplicate authorship pair (1, 1)",
+            "authorship pair (3, 1) out of range",
+            "authorship pair (3, 1) out of range",
+        ]
+
     def test_out_of_range_pair(self):
         inst = Instance(n=1, m=1, authorship=((1, 1), (2, 1)), p=(0.5,))
         assert any("out of range" in v for v in validate(inst))

@@ -8,6 +8,7 @@ import pytest
 from conftest import FIXTURES, edge_cases, random_instance
 
 from deskrisk import (
+    FractionalSolution,
     GeneratorSpec,
     Instance,
     LinearProgram,
@@ -20,6 +21,7 @@ from deskrisk import (
     load_instance,
     oracle_hard,
     solve_hard,
+    solve_hard_lp,
     solve_lp,
     solve_soft,
     solve_soft_exact,
@@ -409,6 +411,33 @@ class TestAssignmentVertices:
             _, exact = solve_soft_exact(inst, b, lam)
             assert math.isclose(rounded.lp_bound, exact.objective, rel_tol=1e-9, abs_tol=1e-12)
             assert math.isclose(rounded.gap, 0.0, abs_tol=1e-9 * max(1.0, exact.objective))
+
+
+class TestSolveHardLp:
+    def test_agrees_with_the_exact_solver(self):
+        rng = random.Random(67)
+        cases = exact_cases() + [(random_instance(rng), rng.randint(1, 3)) for _ in range(200)]
+        for inst, b in cases:
+            assignment, report = solve_hard_lp(inst, b)
+            exact, exact_report = solve_hard(inst, b)
+            assert report.status is exact_report.status
+            if exact is None:
+                assert assignment is None
+                continue
+            assert report.integral is True
+            assert abs(report.objective - exact_report.objective) <= 1e-9
+
+    def test_fractional_answer_is_returned_with_its_weights(self, monkeypatch):
+        inst = load_instance(FIXTURES / "frac_2x2.json")
+        values = (0.5, 0.5, 0.0, 1.0)
+        answer = lp_module.LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
+        monkeypatch.setattr(lp_module, "solve_lp", lambda lp: answer)
+        solution, report = solve_hard_lp(inst, 1)
+        assert solution == FractionalSolution(
+            x={(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.0, (2, 2): 1.0}
+        )
+        assert (report.integral, report.loads, report.penalty) == (False, None, 0.0)
+        assert report.objective == report.expected_rejections == pytest.approx(1 / 3)
 
 
 def warm_start_cases() -> list[tuple[str, Instance, int]]:
