@@ -20,6 +20,8 @@ from its author (author, incident paper, that paper's holder, ...) can
 extend to an unassigned paper.  A failed search proves that no author it
 visited can ever gain a paper, so those authors are skipped from then on.
 Weights are compared exactly, and every flow value is an integer.
+:func:`_slot_basis` extends the greedy's answer to an optimal basis of the
+LP relaxations, which the LP builders hand to HiGHS as its start.
 """
 
 from __future__ import annotations
@@ -302,30 +304,146 @@ def solve_network(
     return assignment_from_pairs(instance, pair_edges, circulation.flow)
 
 
-def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignment | None:
-    """The author-slot greedy on the instance itself; ``None`` if no assignment fits.
+def _slot_greedy(
+    instance: Instance, b: int, lam: float | None
+) -> tuple[list[list[int]], list[tuple[int, int, bool]], list[int] | None]:
+    """The author-slot greedy on the instance itself, over 0-based ids.
 
     Author ``j`` gets ``b`` slots of weight ``p_j`` and, when ``lam`` is
     given, ``n`` more of weight ``p_j + lam``.  Equal weights keep the order
     of the builders' source edges (author ``j`` ascending, the free slot
     first), and each author's papers are searched in ascending order.
-    ``b`` and ``lam`` must already be resolved and the instance valid.
+    Returns each author's papers, the slots as ``(exact weight, author,
+    whether it is the lam slot)`` in ascending weight, and each paper's
+    holder, which is ``None`` if some paper stays unassigned.  ``b`` and
+    ``lam`` must already be resolved and the instance valid.
     """
     papers_of: list[list[int]] = [[] for _ in range(instance.m)]
     for i, j in instance.authorship:
         papers_of[j - 1].append(i - 1)
-    slots: list[tuple[int, int, int]] = []  # (weight, author, capacity)
+    slots: list[tuple[int, int, bool]] = []
     extra = None if lam is None else _exact(lam)
     for author, p in enumerate(instance.p):
         weight = _exact(p)
-        slots.append((weight, author, b))
+        slots.append((weight, author, False))
         if extra is not None:
-            slots.append((weight + extra, author, instance.n))
+            slots.append((weight + extra, author, True))
     slots.sort(key=itemgetter(0))
-    holder = _fill_slots(papers_of, instance.n, [(author, cap) for _, author, cap in slots])
+    n = instance.n
+    holder = _fill_slots(papers_of, n, [(author, n if over else b) for _, author, over in slots])
+    return papers_of, slots, holder
+
+
+def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignment | None:
+    """The author-slot greedy's nominees; ``None`` if no assignment fits."""
+    holder = _slot_greedy(instance, b, lam)[2]
     if holder is None:
         return None
     return Assignment(nominee=tuple(author + 1 for author in holder))
+
+
+def _slot_basis(
+    instance: Instance, b: int, lam: float | None
+) -> tuple[list[int], dict[int, tuple[int, int] | None]] | None:
+    """The greedy's answer and an optimal basis of the LP relaxation around it.
+
+    Returns each paper's holder and the authors whose row is held tight, all
+    0-based; ``None`` if no assignment fits.  A tight author maps to the
+    ``(paper, author)`` pair that is basic at 0 in place of its slack, or to
+    ``None`` when its overload variable ``y_j`` is basic.  Every other author
+    keeps its slack basic, and every assigned pair is basic at 1.
+
+    The basis prices each author at ``c_j``: each paper at its holder's
+    price and each author's cap at ``c_j - p_j``, so pair ``(i, k)`` has
+    reduced cost ``c_k - c_holder(i)``.  ``c_j`` is the cheapest absorber
+    that ``j`` can pass a paper on to, through the holder of a paper passing
+    it to another author on that paper, and on.  An author below ``b``
+    absorbs at ``p_k``, and in the soft variant any author at ``p_k + lam``.
+    Absorbers are taken in slot order, and a reverse search from each claims
+    the unpriced authors at ``b`` that reach it, each held tight by the pair
+    it would pass along.  The greedy's answer is optimal, so no exchange
+    path gains (it costs ``p_end - p_start``), and every reduced cost is
+    nonnegative.  Hard-variant authors that reach no absorber form closed
+    sets, priced by :func:`_price_closed_sets`.  Each author's entry joins it
+    to an author priced before it, so the basic pairs form a spanning forest
+    and the basis is nonsingular (Ahuja, Magnanti & Orlin 1993, ch. 11).
+    """
+    papers_of, slots, holder = _slot_greedy(instance, b, lam)
+    if holder is None:
+        return None
+    load = [0] * instance.m
+    for author in holder:
+        load[author] += 1
+    price: list[int | None] = [None] * instance.m
+    tight: dict[int, tuple[int, int] | None] = {}
+    for weight, root, over in slots:
+        # A free slot absorbs for an author below b, a lam slot for one at or
+        # above b that no cheaper absorber has claimed.
+        if price[root] is not None or (load[root] < b) == over:
+            continue
+        price[root] = weight
+        if over:
+            tight[root] = None
+        queue = [root]
+        for k in queue:
+            for paper in papers_of[k]:
+                j = holder[paper]
+                if price[j] is None and load[j] == b:
+                    price[j] = weight
+                    tight[j] = (paper, k)
+                    queue.append(j)
+    if None in price:
+        _price_closed_sets(instance, papers_of, holder, slots, price, tight)
+    return holder, tight
+
+
+def _price_closed_sets(
+    instance: Instance,
+    papers_of: list[list[int]],
+    holder: list[int],
+    slots: list[tuple[int, int, bool]],
+    price: list[int | None],
+    tight: dict[int, tuple[int, int] | None],
+) -> None:
+    """Price the hard variant's authors that reach no absorber, in place.
+
+    Nothing here can pass a paper on to a priced author, or it would have
+    been claimed.  Author ``k`` takes ``c_k = max(p_k, c_j of every author j
+    that can pass k a paper)``, which keeps every reduced cost and ``c_k -
+    p_k`` nonnegative.  Seeds offer ``k`` its own ``p_k`` (its slack stays
+    basic) or a priced author's ``c_j`` (through that pair); they are taken
+    from the highest down, and each author priced passes its price forward
+    to every unpriced author it can pass a paper to.
+    """
+    rows = instance.rows
+    seeds: list[tuple[int, int, tuple[int, int] | None]] = []
+    held: list[list[int]] = [[] for _ in range(instance.m)]
+    for weight, k, _ in slots:
+        if price[k] is None:
+            seeds.append((weight, k, None))
+            for paper in papers_of[k]:
+                j = holder[paper]
+                if price[j] is not None:
+                    seeds.append((price[j], k, (paper, k)))
+    for paper, author in enumerate(holder):
+        if price[author] is None:
+            held[author].append(paper)
+    seeds.sort(key=itemgetter(0), reverse=True)
+    for value, start, pair in seeds:
+        if price[start] is not None:
+            continue
+        price[start] = value
+        if pair is not None:
+            tight[start] = pair
+        queue = [start]
+        for k in queue:
+            for paper in held[k]:
+                for j in rows[paper]:
+                    j -= 1
+                    if price[j] is None:
+                        price[j] = value
+                        tight[j] = (paper, j)
+                        queue.append(j)
 
 
 def solve_hard(

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -368,6 +369,12 @@ def exact_cases() -> list[tuple[Instance, int]]:
     return cases + edge_cases(random.Random(58))
 
 
+@functools.cache
+def conference(seed: int) -> Instance:
+    """The paper's size: 2000 papers, 500 authors, 3 to 7 authors per paper."""
+    return generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=seed))
+
+
 def near_integer(value: float) -> bool:
     return abs(value - round(value)) <= 1e-9
 
@@ -375,16 +382,16 @@ def near_integer(value: float) -> bool:
 class TestAssignmentVertices:
     """Both relaxations are totally unimodular, so a simplex answer is an integral vertex."""
 
-    @pytest.mark.parametrize(("soft", "budget"), [(False, 5_000), (True, 2_000)])
-    def test_conference_lps_certify_within_an_iteration_budget(self, soft, budget):
-        # Dual simplex with devex pricing, started from the basic greedy's
-        # basis, takes 3,753 (hard) and 544 (soft) iterations here; from the
-        # slack basis it takes 6,043 and 3,679.
-        inst = generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=42))
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_conference_lps_certify_without_a_pivot(self, soft):
+        # Started at the exact core's optimal basis, HiGHS only confirms it.
+        # From the basic greedy's basis dual simplex took 3,753 (hard) and
+        # 544 (soft) iterations here, and from the slack basis 6,043 and 3,679.
+        inst = conference(42)
         lp = build_soft_lp(inst, 5, 0.3)[0] if soft else build_hard_lp(inst, 5)[0]
         solution = solve_lp(lp)
         assert solution.status is LpStatus.OPTIMAL
-        assert solution.iterations < budget
+        assert solution.iterations == 0
 
     def test_hard_vertex_is_integral_and_exact(self):
         for inst, b in exact_cases():
@@ -427,6 +434,15 @@ class TestSolveHardLp:
             assert report.integral is True
             assert abs(report.objective - exact_report.objective) <= 1e-9
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_lp_routes_report_the_cores_nominees_at_conference_size(self, seed):
+        inst = conference(seed)
+        assert solve_hard_lp(inst, 5)[0] == solve_hard(inst, 5)[0]
+        rounded, report = solve_soft(inst, 5, 0.3)
+        exact, exact_report = solve_soft_exact(inst, 5, 0.3)
+        assert rounded == exact
+        assert math.isclose(report.lp_bound, exact_report.objective, rel_tol=1e-9)
+
     def test_fractional_answer_is_returned_with_its_weights(self, monkeypatch):
         inst = load_instance(FIXTURES / "frac_2x2.json")
         values = (0.5, 0.5, 0.0, 1.0)
@@ -456,7 +472,11 @@ def warm_start_cases() -> list[tuple[str, Instance, int]]:
 
 
 class TestWarmStart:
-    """The assignment programs start from the basic greedy's basis; the answer must not move."""
+    """The assignment programs start at the exact core's optimal basis; the answer must not move.
+
+    A hard program the core finds infeasible starts from the basic greedy's
+    nominees instead.
+    """
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_start_changes_no_answer(self, soft):
@@ -475,23 +495,71 @@ class TestWarmStart:
         # Every soft program is feasible; some hard ones are not.
         assert statuses == ({LpStatus.OPTIMAL} if soft else {LpStatus.OPTIMAL, LpStatus.INFEASIBLE})
 
-    def test_start_is_the_basic_greedy(self):
-        # The authors tie, so the lower index takes all three papers and is
-        # overloaded at b = 1.
+    @pytest.mark.parametrize("lam", [None, 5e-324, 0.05, 0.3, 2.5])
+    def test_every_feasible_program_certifies_without_a_pivot(self, lam):
+        # A core answer that is not optimal gives a basis that is not dual
+        # feasible, and HiGHS would pivot away from it.
+        for source, inst, b in warm_start_cases():
+            if lam is None:
+                lp, pair_vars = build_hard_lp(inst, b)
+                assignment = solve_hard(inst, b)[0]
+            else:
+                lp, pair_vars, _ = build_soft_lp(inst, b, lam)
+                assignment = solve_soft_exact(inst, b, lam)[0]
+            solution = solve_lp(lp)
+            if assignment is None:
+                assert solution.status is LpStatus.INFEASIBLE, (source, b)
+                continue
+            assert (solution.status, solution.iterations) == (LpStatus.OPTIMAL, 0), (source, b)
+            nominated = [pair_vars[pair] for pair in enumerate(assignment.nominee, start=1)]
+            assert all(solution.values[k] > 0.5 for k in nominated), (source, b)
+
+    def test_start_is_the_cores_optimal_basis(self):
+        # The authors tie.  At b = 2 the core gives paper 1 to author 2 and
+        # papers 2 and 3 to author 1.  Author 2 has room, so its slack stays
+        # basic; author 1 is full and could pass paper 2 to author 2, so its
+        # row is held tight with the pair (2, 2) basic at 0.
+        inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
+        assert solve_hard(inst, 2)[0].nominee == (2, 1, 1)
+        lp, pair_vars = build_hard_lp(inst, 2)
+        basic = tuple(pair_vars[pair] for pair in ((1, 2), (2, 1), (3, 1), (2, 2)))
+        assert lp.start == LpStart(basic, (0,))
+        assert solve_lp(lp).iterations == 0
+        # At b = 1 author 1 holds papers 1 and 3, one over the cap, so y_1 is
+        # basic.  Author 2 is full and could pass paper 2 to author 1, so its
+        # row is held tight with (2, 1) basic.
+        assert solve_soft_exact(inst, 1, 0.5)[0].nominee == (1, 2, 1)
+        lp, pair_vars, y_vars = build_soft_lp(inst, 1, 0.5)
+        basic = tuple(pair_vars[pair] for pair in ((1, 1), (2, 2), (3, 1)))
+        assert lp.start == LpStart(basic + (y_vars[1], pair_vars[2, 1]), (0, 1))
+        assert solve_lp(lp).iterations == 0
+        # Both authors are full and neither has room to pass a paper to: a
+        # closed set.  Author 2's p = 0.6 sets the price of both, so its slack
+        # stays basic, and author 1 is priced through (2, 1).
+        inst = Instance.from_rows([[1, 2], [1, 2]], p=[0.2, 0.6])
+        lp, pair_vars = build_hard_lp(inst, 1)
+        basic = tuple(pair_vars[pair] for pair in ((1, 1), (2, 2), (2, 1)))
+        assert lp.start == LpStart(basic, (0,))
+        assert solve_lp(lp).iterations == 0
+
+    def test_infeasible_hard_program_starts_from_the_basic_greedy(self):
+        # Three papers do not fit two authors at b = 1, so the core has no
+        # answer; the start holds each paper's cheapest author, lower index
+        # on ties, and every slack.
         inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
         nominee = greedy_assign_basic(inst)[0].nominee
         assert nominee == (1, 1, 1)
         lp, pair_vars = build_hard_lp(inst, 1)
-        basic = tuple(pair_vars[pair] for pair in enumerate(nominee, start=1))
-        assert lp.start == LpStart(basic, ())
-        lp, pair_vars, y_vars = build_soft_lp(inst, 1, 0.5)
-        assert lp.start == LpStart(basic + (y_vars[1],), (0,))
+        assert lp.start == LpStart(tuple(pair_vars[pair] for pair in enumerate(nominee, start=1)))
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
 
     @staticmethod
     def soft_program():
+        # The basic greedy's basis: author 1 holds every paper (variables 0,
+        # 2 and 4), y_1 (variable 5) is basic and author 1's row is tight.
         lp = build_soft_lp(Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5]), 1, 0.5)[0]
+        lp.start = LpStart((0, 2, 4, 5), (0,))
         lp.check()
-        assert lp.start.tight == (0,)
         return lp
 
     @pytest.mark.parametrize(
