@@ -33,7 +33,8 @@ only confirms it: 0 iterations on every feasible program, against 3,753
 (hard) and 544 (soft) from the basic greedy's basis at 2000 x 500, and 9,431
 and 1,500 at 6000 x 1500.  So the LP routes report the core's vertex.  A core
 answer that was not optimal would give a basis that is not dual feasible,
-and HiGHS would pivot away from it; the certificate trusts nothing from the
+and HiGHS would leave it, by pivots or by moving a pair to its upper bound
+(which counts as no iteration); the certificate trusts nothing from the
 start.  When no assignment meets the hard cap, the start holds each paper's
 cheapest author (lowest index on ties) and every author's slack; from there
 HiGHS proves infeasibility in 1,361 iterations at 2000 x 500 and ``b = 3``,

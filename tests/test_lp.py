@@ -498,7 +498,8 @@ class TestWarmStart:
     @pytest.mark.parametrize("lam", [None, 5e-324, 0.05, 0.3, 2.5])
     def test_every_feasible_program_certifies_without_a_pivot(self, lam):
         # A core answer that is not optimal gives a basis that is not dual
-        # feasible, and HiGHS would pivot away from it.
+        # feasible.  HiGHS leaves it by pivots, or by moving a pair to its
+        # upper bound without an iteration, so the vertex is checked too.
         for source, inst, b in warm_start_cases():
             if lam is None:
                 lp, pair_vars = build_hard_lp(inst, b)
