@@ -11,11 +11,13 @@ Three problem variants over the same instance data:
   (:func:`solve_soft` relaxes and rounds, :func:`solve_soft_exact` is the
   integral optimum).
 
-Both exact solvers run one author-slot greedy straight on the instance; see
-:mod:`deskrisk.flow` for why it is exact.  The assignment networks of the
-paper's reduction (:func:`build_hard_network`, :func:`build_soft_network`)
-are an export; :func:`min_cost_circulation` solves only networks these
-builders emit, by reading the instance back and running the same greedy.
+One module per solving method serves both capped variants: :mod:`.flow`
+holds the exact solvers, one author-slot greedy run straight on the
+instance (see there for why it is exact), and :mod:`.lp` the relaxations.
+The assignment networks of the paper's reduction (:func:`build_hard_network`,
+:func:`build_soft_network`) are an export; :func:`min_cost_circulation`
+solves only networks these builders emit, by reading the instance back and
+running the same greedy.
 
 Brute-force oracles and the one-pass baselines live alongside the real
 solvers so every answer can be cross-checked on small instances.
@@ -38,6 +40,7 @@ from .flow import (
     check_circulation,
     min_cost_circulation,
     solve_hard,
+    solve_soft_exact,
 )
 from .generate import GeneratorSpec, generate
 from .greedy import greedy_assign_basic
@@ -71,8 +74,11 @@ from .lp import (
     LpStatus,
     build_hard_lp,
     build_soft_lp,
+    round_soft,
     solve_hard_lp,
     solve_lp,
+    solve_soft,
+    solve_soft_relaxed,
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
@@ -83,7 +89,6 @@ from .oracle import (
     oracle_hard,
     oracle_soft,
 )
-from .soft import round_soft, solve_soft, solve_soft_exact, solve_soft_relaxed
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ from .baselines import (
     rand_assign_hard,
     rand_assign_soft,
 )
-from .flow import FlowNetwork, build_hard_network, build_soft_network, solve_hard
+from .flow import FlowNetwork, build_hard_network, build_soft_network, solve_hard, solve_soft_exact
 from .generate import GeneratorSpec, generate
 from .greedy import greedy_assign_basic
 from .instance import (
@@ -44,9 +44,15 @@ from .io import (
     report_to_dict,
     save_instance,
 )
-from .lp import INTEGRALITY_TOL, LinearProgram, build_hard_lp, build_soft_lp, solve_hard_lp
+from .lp import (
+    INTEGRALITY_TOL,
+    LinearProgram,
+    build_hard_lp,
+    build_soft_lp,
+    solve_hard_lp,
+    solve_soft,
+)
 from .oracle import DEFAULT_ENUMERATION_CAP, oracle_basic, oracle_hard, oracle_soft
-from .soft import solve_soft, solve_soft_exact
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

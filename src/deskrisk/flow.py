@@ -19,7 +19,11 @@ take slots in ascending weight and keep each one that an alternating search
 from its author (author, incident paper, that paper's holder, ...) can
 extend to an unassigned paper.  A failed search proves that no author it
 visited can ever gain a paper, so those authors are skipped from then on.
-Weights are compared exactly, and every flow value is an integer.
+Weights are compared exactly, and every flow value is an integer.  The
+soft penalty's two slopes are two kinds of slot per author: the first ``b``
+weigh ``p_j`` and the rest ``p_j + lam`` (in :func:`build_soft_network`, a
+free source edge up to ``b`` and one costing ``lam`` beyond), so the same
+greedy gives the exact soft optimum.
 :func:`_slot_basis` extends the greedy's answer to an optimal basis of the
 LP relaxations, which the LP builders hand to HiGHS as its start.
 """
@@ -35,7 +39,6 @@ from .instance import (
     SolveReport,
     SolveStatus,
     _count_loads,
-    assignment_from_pairs,
     report_for,
     require_valid,
     resolve_limits,
@@ -171,34 +174,6 @@ def _exact(cost: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-def _fill_slots(
-    papers_of: list[list[int]], papers: int, slots: list[tuple[int, int]]
-) -> list[int] | None:
-    """The author-slot greedy over dense ids; ``None`` if some paper stays unassigned.
-
-    Authors and papers are numbered from 0.  ``papers_of[a]`` lists author
-    ``a``'s papers in search order, and ``slots`` holds ``(author,
-    capacity)`` in ascending weight.  Each slot takes papers while an
-    augmenting search from its author succeeds.  Returns each paper's
-    holder.
-    """
-    holder = [-1] * papers
-    dead = [False] * len(papers_of)
-    assigned = 0
-    for author, capacity in slots:
-        count = 0
-        while (
-            count < capacity
-            and assigned < papers
-            and _augment(author, papers_of, holder, dead)
-        ):
-            count += 1
-            assigned += 1
-    if assigned < papers:
-        return None
-    return holder
-
-
 def _augment(start: int, papers_of: list[list[int]], holder: list[int], dead: list[bool]) -> bool:
     """Give ``start`` one more paper, moving held papers along an alternating path.
 
@@ -294,16 +269,6 @@ def build_soft_network(
     return _assignment_network(instance, b, lam, soft=True)
 
 
-def solve_network(
-    instance: Instance, network: FlowNetwork, pair_edges: dict[tuple[int, int], int]
-) -> Assignment | None:
-    """Solve a network from the builders above and read off each paper's nominee."""
-    circulation = min_cost_circulation(network)
-    if circulation is None:
-        return None
-    return assignment_from_pairs(instance, pair_edges, circulation.flow)
-
-
 def _slot_greedy(
     instance: Instance, b: int, lam: float | None
 ) -> tuple[list[list[int]], list[tuple[int, int, bool]], list[int] | None]:
@@ -312,7 +277,8 @@ def _slot_greedy(
     Author ``j`` gets ``b`` slots of weight ``p_j`` and, when ``lam`` is
     given, ``n`` more of weight ``p_j + lam``.  Equal weights keep the order
     of the builders' source edges (author ``j`` ascending, the free slot
-    first), and each author's papers are searched in ascending order.
+    first), and each author's papers are searched in ascending order.  Each
+    slot takes papers while an augmenting search from its author succeeds.
     Returns each author's papers, the slots as ``(exact weight, author,
     whether it is the lam slot)`` in ascending weight, and each paper's
     holder, which is ``None`` if some paper stays unassigned.  ``b`` and
@@ -330,8 +296,16 @@ def _slot_greedy(
             slots.append((weight + extra, author, True))
     slots.sort(key=itemgetter(0))
     n = instance.n
-    holder = _fill_slots(papers_of, n, [(author, n if over else b) for _, author, over in slots])
-    return papers_of, slots, holder
+    holder = [-1] * n
+    dead = [False] * instance.m
+    assigned = 0
+    for _, author, over in slots:
+        capacity = n if over else b
+        count = 0
+        while count < capacity and assigned < n and _augment(author, papers_of, holder, dead):
+            count += 1
+            assigned += 1
+    return papers_of, slots, holder if assigned == n else None
 
 
 def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignment | None:
@@ -454,9 +428,29 @@ def solve_hard(
     Returns ``(None, report)`` with an Infeasible status when no assignment
     keeps every author within the limit.
     """
+    return _solve_exact(instance, b, None, soft=False)
+
+
+def solve_soft_exact(
+    instance: Instance, b: int | None = None, lam: float | None = None
+) -> tuple[Assignment, SolveReport]:
+    """Exact integral optimum of the soft objective.
+
+    Author ``j``'s first ``b`` slots weigh ``p_j`` and the rest ``p_j +
+    lam``, the penalty's two slopes; they cover every paper of a valid
+    instance, so the answer is never Infeasible.
+    """
+    return _solve_exact(instance, b, lam, soft=True)
+
+
+def _solve_exact(
+    instance: Instance, b: int | None, lam: float | None, soft: bool
+) -> tuple[Assignment | None, SolveReport]:
+    """The slot greedy's answer and its report, for either variant."""
     require_valid(instance)
-    b, _ = resolve_limits(instance, b)
-    assignment = _assign_by_slots(instance, b, None)
+    b, lam = resolve_limits(instance, b, lam, soft=soft)
+    solver = "soft-exact-flow" if soft else "hard-flow"
+    assignment = _assign_by_slots(instance, b, lam)
     if assignment is None:
-        return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-flow")
-    return assignment, report_for(instance, assignment, "hard-flow")
+        return None, SolveReport(status=SolveStatus.INFEASIBLE, solver=solver)
+    return assignment, report_for(instance, assignment, solver, soft=(b, lam) if soft else None)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 class SolveStatus(str, Enum):
@@ -252,17 +252,6 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
     for i, j in enumerate(assignment.nominee, start=1):
         if j not in instance.rows[i - 1]:
             raise InvalidAssignmentError(f"paper {i} nominates non-author {j}")
-
-
-def assignment_from_pairs(
-    instance: Instance, index: Mapping[tuple[int, int], int], values: Sequence[float]
-) -> Assignment:
-    """Nominate author ``j`` for paper ``i`` wherever ``values[index[(i, j)]]`` is 1."""
-    nominee = [0] * instance.n
-    for (i, j), k in index.items():
-        if values[k] > 0.5:
-            nominee[i - 1] = j
-    return Assignment(nominee=tuple(nominee))
 
 
 def author_loads(instance: Instance, assignment: Assignment) -> list[int]:

@@ -11,7 +11,8 @@ and report JSON mirrors the :class:`~deskrisk.instance.SolveReport` fields.
 
 Loaders accept strict JSON only: the ``NaN``, ``Infinity`` and ``-Infinity``
 tokens that Python's :mod:`json` allows by default raise :class:`FormatError`,
-and :func:`dumps` refuses to write non-finite numbers.
+as does ``true`` or ``false`` where a number is expected, and :func:`dumps`
+refuses to write non-finite numbers.
 
 Loaders check shape (types, version) and raise :class:`FormatError`;
 semantic checks such as "every paper has an author" stay in
@@ -48,6 +49,11 @@ def _int_field(obj: dict, key: str, kind: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"{kind}: field {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _is_number(value: Any) -> bool:
+    """An int or a float; JSON ``true`` and ``false`` load as bools, which are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _loads(path: str | Path, kind: str) -> Any:
@@ -87,13 +93,13 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
             raise FormatError(f"instance: papers[{i - 1}] must be a list of integers")
         pairs.extend((i, j) for j in row)
     p = obj.get("p")
-    if not isinstance(p, list) or not all(isinstance(v, (int, float)) for v in p):
+    if not isinstance(p, list) or not all(map(_is_number, p)):
         raise FormatError("instance: 'p' must be a list of numbers")
     b = obj.get("b")
     if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
         raise FormatError(f"instance: 'b' must be an integer or null, got {b!r}")
     lam = obj.get("lambda")
-    if lam is not None and not isinstance(lam, (int, float)):
+    if lam is not None and not _is_number(lam):
         raise FormatError(f"instance: 'lambda' must be a number or null, got {lam!r}")
     return Instance(
         n=n,

@@ -1,4 +1,16 @@
-"""Bounded-variable linear programs shared by the relaxation solvers.
+"""The LP relaxations of the hard and soft variants, and the solver behind them.
+
+:func:`build_hard_lp` relaxes the hard cap: a weight in ``[0, 1]`` per
+incident pair, an equality row per paper and a ``<=`` row per author.
+:func:`build_soft_lp` linearizes the soft penalty through an epigraph: per
+author an overload variable ``y_j >= load_j - b``, ``y_j >= 0``, charged
+``lam``, which any optimum pins to ``max(0, load_j - b)``
+(:func:`solve_soft_relaxed` checks this).  Both programs are totally
+unimodular: the paper and author rows form a bipartite incidence matrix, and
+each ``y_j`` adds a unit column.  So every vertex is integral, and
+:func:`round_soft`'s per-paper argmax loses nothing on one; a ``gap > 0``
+in :func:`solve_soft`'s report can only come from an answer that is not a
+vertex, which the exact solvers of :mod:`.flow` would show.
 
 The solve itself is delegated to HiGHS (Huangfu & Hall 2018) through the
 binding that scipy ships in ``scipy/optimize/_highspy``; what this module owns
@@ -19,8 +31,7 @@ The backend is HiGHS's dual simplex with devex pricing (Harris 1973; Huangfu
 & Hall 2018), a fixed setting like the tolerances.  The assignment programs
 built here are degenerate transportation LPs, and on them HiGHS's default
 dual steepest-edge pricing takes 2-8x more iterations; devex also beats the
-interior-point method and Dantzig pricing.  A simplex answer is a vertex,
-and both programs are totally unimodular, so it is integral.
+interior-point method and Dantzig pricing.  A simplex answer is a vertex.
 
 The builders start HiGHS at an optimal basis (Bixby 1992 on initial
 bases), which :func:`.flow._slot_basis` builds from the exact core's answer
@@ -52,7 +63,9 @@ numpy is imported inside :func:`solve_lp` and its helpers
 (:meth:`LinearProgram.check` included), not at module level: building a
 :class:`LinearProgram` needs only the standard library, so the greedy, flow,
 oracle and validate paths (and ``import deskrisk``) load neither numpy nor
-the binding.
+the binding.  The binding itself imports numpy to take a Python list, and a
+pure-Python form and certificate gave the same answers 30-50% slower, so
+numpy stays.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from .instance import (
     Instance,
     SolveReport,
     SolveStatus,
-    assignment_from_pairs,
+    fractional_loads,
     report_for,
     require_valid,
     resolve_limits,
@@ -88,6 +101,7 @@ FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
 # A pair weight this close to 0 or 1 counts as integral.
 INTEGRALITY_TOL = 1e-9
+EQUIVALENCE_TOL = 1e-7
 
 Sense = Literal["<=", ">="]
 SparseRow = list[tuple[int, float]]
@@ -590,7 +604,8 @@ def solve_hard_lp(
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
     x, expected = _read_pairs(instance, pair_vars, solution, "hard relaxation")
     if all(min(value, abs(value - 1.0)) <= INTEGRALITY_TOL for value in x.values()):
-        assignment = assignment_from_pairs(instance, pair_vars, solution.values)
+        # The pairs run in paper order and each paper's row sums to 1.
+        assignment = Assignment(nominee=tuple(j for (_, j), value in x.items() if value > 0.5))
         return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
     report = SolveReport(
         status=SolveStatus.OPTIMAL,
@@ -602,6 +617,81 @@ def solve_hard_lp(
         integral=False,
     )
     return FractionalSolution(x=x), report
+
+
+def solve_soft_relaxed(
+    instance: Instance, b: int | None = None, lam: float | None = None
+) -> tuple[FractionalSolution, SolveReport]:
+    """Certified optimum of :func:`build_soft_lp`'s epigraph relaxation.
+
+    The returned overload values are checked against ``max(0, load_j - b)``
+    recomputed from the fractional loads; disagreement beyond
+    ``EQUIVALENCE_TOL`` means the backend returned a non-optimal point and
+    raises instead of propagating a wrong bound.
+    """
+    b, lam = resolve_limits(instance, b, lam, soft=True)
+    lp, pair_vars, y_vars = build_soft_lp(instance, b, lam)
+    solution = solve_lp(lp)
+    x, expected_rejections = _read_pairs(instance, pair_vars, solution, "soft relaxation")
+    y = tuple(solution.values[y_vars[j]] for j in range(1, instance.m + 1))
+    fractional = FractionalSolution(x=x, y=y)
+
+    loads = fractional_loads(instance, fractional)
+    for j, (y_j, load) in enumerate(zip(y, loads), start=1):
+        expected = max(0.0, load - b)
+        if abs(y_j - expected) > EQUIVALENCE_TOL:
+            raise RuntimeError(
+                f"overload variable y_{j}={y_j!r} differs from max(0, load-b)={expected!r}"
+            )
+
+    penalty = lam * sum(y)
+    report = SolveReport(
+        status=SolveStatus.OPTIMAL,
+        objective=expected_rejections + penalty,
+        expected_rejections=expected_rejections,
+        penalty=penalty,
+        loads=None,
+        solver="soft-lp",
+    )
+    return fractional, report
+
+
+def round_soft(instance: Instance, fractional: FractionalSolution) -> Assignment:
+    """Per paper, nominate the author with the largest fractional weight.
+
+    Ties go to the smallest author index.  The per-paper nomination rule is
+    the only constraint of the soft problem, so the result is always a valid
+    assignment; runs in time linear in the number of incidences.
+    """
+    x = fractional.x
+    nominee: list[int] = []
+    for i, row in enumerate(instance.rows, start=1):
+        best_j = row[0]
+        best_value = x.get((i, row[0]), 0.0)
+        for j in row[1:]:
+            value = x.get((i, j), 0.0)
+            if value > best_value:
+                best_value = value
+                best_j = j
+        nominee.append(best_j)
+    return Assignment(nominee=tuple(nominee))
+
+
+def solve_soft(
+    instance: Instance, b: int | None = None, lam: float | None = None
+) -> tuple[Assignment, SolveReport]:
+    """Relax, round, and report both the integral objective and the LP bound."""
+    fractional, relaxed_report = solve_soft_relaxed(instance, b, lam)
+    assignment = round_soft(instance, fractional)
+    report = report_for(instance, assignment, "soft-lp-round", soft=(b, lam))
+    assert report.objective is not None and relaxed_report.objective is not None
+    report = replace(
+        report,
+        lp_bound=relaxed_report.objective,
+        rounded_objective=report.objective,
+        gap=report.objective - relaxed_report.objective,
+    )
+    return assignment, report
 
 
 def _read_pairs(

@@ -133,7 +133,8 @@ def conference_fingerprints(directory: Path) -> list[dict]:
     cases = []
     for argv in conference_commands():
         code, stdout, dumped = run(argv, directory, directory / "dump.json")
-        cases.append({"argv": argv, "exit": code, "stdout": sha256(stdout), "dump": sha256(dumped)})
+        fingerprints = {"stdout": sha256(stdout), "dump": sha256(dumped)}
+        cases.append({"argv": argv, "exit": code, **fingerprints})
     return cases
 
 

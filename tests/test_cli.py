@@ -392,7 +392,7 @@ class TestSolveCommand:
 
     def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
         failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
-        monkeypatch.setattr("deskrisk.soft.solve_lp", lambda lp: failed)
+        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: failed)
         code = run_cli(
             ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "soft", "--b", "1",
              "--lambda", "0.5", "--algorithm", "lp-round"]

@@ -25,7 +25,6 @@ from deskrisk import (
     solve_lp,
     solve_soft_exact,
 )
-from deskrisk.flow import solve_network
 
 TRAP = Instance.from_rows([[1, 2], [1]], p=[0.1, 0.2])
 
@@ -326,8 +325,14 @@ def _network_nominees(inst, b, lam=None):
         network, pair_edges = build_hard_network(inst, b)
     else:
         network, pair_edges = build_soft_network(inst, b, lam)
-    assignment = solve_network(inst, network, pair_edges)
-    return None if assignment is None else assignment.nominee
+    circulation = min_cost_circulation(network)
+    if circulation is None:
+        return None
+    nominee = [0] * inst.n
+    for (i, j), edge in pair_edges.items():
+        if circulation.flow[edge] == 1:
+            nominee[i - 1] = j
+    return tuple(nominee)
 
 
 class TestSolvePath:

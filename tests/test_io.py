@@ -78,6 +78,27 @@ class TestInstanceJson:
         with pytest.raises(FormatError):
             load_instance(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("p", [True, 0.5]),
+            ("p", [0.5, False]),
+            ("lambda", True),
+            ("lambda", False),
+            ("b", True),
+            ("n", True),
+            ("m", False),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, tmp_path, field, value):
+        # bool is an int in Python, so true and false must be refused by name.
+        base = instance_to_dict(Instance.from_rows([[1], [1]], p=[0.5, 0.5]))
+        base.update({"m": 2, "lambda": 0.3, field: value})
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(base))
+        with pytest.raises(FormatError, match=f"'{field}'"):
+            load_instance(path)
+
     def test_invalid_json_is_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
