@@ -10,7 +10,7 @@ It writes two files, which ``test_golden.py`` replays:
   the fixtures, run in process through ``run_cli``, with its argv, exit
   code, stdout, and the bytes of the ``--dump-*`` file when it asks for one;
 * ``tests/golden/fingerprints.json``: SHA-256 fingerprints of the same
-  outputs for every solver route on conference-size instances
+  outputs for every non-oracle route on conference-size instances
   (:func:`conference_commands`), and of ``report_to_dict`` at every point of
   the sweep grid (:func:`sweep_grid`).  These are large enough that a change
   in summation order moves some bits.

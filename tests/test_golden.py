@@ -48,7 +48,6 @@ def test_conference_outputs_match_their_fingerprints(tmp_path):
 def test_sweep_reports_match_their_fingerprints():
     want = json.loads(FINGERPRINTS.read_text())["sweep"]
     got = sweep_fingerprints()
-    assert [point["report"] for point in got] == [point["report"] for point in want], (
-        "a sweep report changed." + REGENERATE
-    )
-    assert got == want
+    assert len(got) == len(want) == 42
+    changed = [point for point, expected in zip(got, want) if point != expected]
+    assert not changed, f"{len(changed)} sweep reports changed, first: {changed[0]}." + REGENERATE
