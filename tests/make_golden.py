@@ -89,7 +89,11 @@ def commands() -> list[list[str]]:
 
 
 def conference_commands() -> list[list[str]]:
-    """Every non-oracle ``solve`` route on each conference instance, with and without its dump."""
+    """Every non-oracle ``solve`` route on each conference instance.
+
+    A route that takes ``--seed`` also runs with ``--seed 1``, and one that
+    dumps its model also runs with its dump.
+    """
     out = []
     for seed in CONFERENCE_SEEDS:
         instance = f"{{fixtures}}/conference_{seed}.json"
@@ -100,6 +104,8 @@ def conference_commands() -> list[list[str]]:
                 base = ["solve", instance, "--variant", variant, *CONFERENCE_LIMITS[variant],
                         "--algorithm", algorithm]
                 out.append(base)
+                if algorithm in SEEDED:
+                    out.append([*base, "--seed", "1"])
                 if algorithm in DUMPS:
                     out.append([*base, DUMPS[algorithm], "{dump}"])
     return out
