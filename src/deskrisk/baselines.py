@@ -32,11 +32,32 @@ class BaselineResult:
     err: bool
 
 
-def _chooser(seed: int | None) -> Callable[[list[int]], int]:
-    if seed is None:
-        return lambda candidates: candidates[0]
-    rng = random.Random(seed)
-    return lambda candidates: candidates[rng.randrange(len(candidates))]
+def _one_pass(
+    instance: Instance, cap: int, seed: int | None, cost: Callable[[int, int], float]
+) -> BaselineResult:
+    """Walk the papers once, each nominating a cheapest author below ``cap``.
+
+    ``cost(author, load)`` prices a pick from the author's load so far, and
+    one draw picks among the tied cheapest authors below the cap.  When every
+    incident author is at the cap, the draw is over all of them and the error
+    flag is raised.
+    """
+    rng = None if seed is None else random.Random(seed)
+    loads = [0] * instance.m
+    nominee: list[int] = []
+    err = False
+    for row in instance.rows:
+        under = [j for j in row if loads[j - 1] < cap]
+        if under:
+            costs = [cost(j, loads[j - 1]) for j in under]
+            low = min(costs)
+            candidates = [j for j, c in zip(under, costs) if c == low]
+        else:
+            candidates, err = row, True
+        k = candidates[0] if rng is None else candidates[rng.randrange(len(candidates))]
+        nominee.append(k)
+        loads[k - 1] += 1
+    return BaselineResult(assignment=Assignment(nominee=tuple(nominee)), err=err)
 
 
 def rand_assign_hard(
@@ -49,20 +70,7 @@ def rand_assign_hard(
     """
     require_valid(instance)
     b, _ = resolve_limits(instance, b)
-    choose = _chooser(seed)
-    loads = [0] * instance.m
-    nominee: list[int] = []
-    err = False
-    for row in instance.rows:
-        under = [j for j in row if loads[j - 1] + 1 <= b]
-        if under:
-            k = choose(under)
-        else:
-            k = choose(list(row))
-            err = True
-        nominee.append(k)
-        loads[k - 1] += 1
-    return BaselineResult(assignment=Assignment(nominee=tuple(nominee)), err=err)
+    return _one_pass(instance, b, seed, lambda author, load: 0.0)
 
 
 def greedy_assign_hard(
@@ -71,22 +79,8 @@ def greedy_assign_hard(
     """Pick a least-irresponsible under-limit author per paper, in paper order."""
     require_valid(instance)
     b, _ = resolve_limits(instance, b)
-    choose = _chooser(seed)
     p = instance.p
-    loads = [0] * instance.m
-    nominee: list[int] = []
-    err = False
-    for row in instance.rows:
-        under = [j for j in row if loads[j - 1] + 1 <= b]
-        if under:
-            low = min(p[j - 1] for j in under)
-            k = choose([j for j in under if p[j - 1] == low])
-        else:
-            k = choose(list(row))
-            err = True
-        nominee.append(k)
-        loads[k - 1] += 1
-    return BaselineResult(assignment=Assignment(nominee=tuple(nominee)), err=err)
+    return _one_pass(instance, b, seed, lambda author, load: p[author - 1])
 
 
 def rand_assign_soft(
@@ -114,14 +108,8 @@ def greedy_assign_soft(
     """
     require_valid(instance)
     b, lam = resolve_limits(instance, b, lam, soft=True)
-    choose = _chooser(seed)
     p = instance.p
-    loads = [0] * instance.m
-    nominee: list[int] = []
-    for row in instance.rows:
-        costs = [p[j - 1] + lam * max(0, loads[j - 1] + 1 - b) for j in row]
-        low = min(costs)
-        k = choose([j for j, cost in zip(row, costs) if cost == low])
-        nominee.append(k)
-        loads[k - 1] += 1
-    return Assignment(nominee=tuple(nominee))
+    # Every author is below a cap of n, so no pick is an error.
+    return _one_pass(
+        instance, instance.n, seed, lambda author, load: p[author - 1] + lam * max(0, load + 1 - b)
+    ).assignment

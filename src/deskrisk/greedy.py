@@ -12,16 +12,6 @@ import random
 from .instance import Assignment, Instance, SolveReport, report_for, require_valid
 
 
-def cheapest_authors(instance: Instance) -> list[int]:
-    """Each paper's least-irresponsible author, the smallest index among ties.
-
-    ``instance`` must be valid.  Author lists are ascending and ``min`` keeps
-    the first minimizer, so this is the tie rule of :func:`greedy_assign_basic`.
-    """
-    cost = (0.0, *instance.p).__getitem__  # 1-based
-    return [min(row, key=cost) for row in instance.rows]
-
-
 def greedy_assign_basic(
     instance: Instance, seed: int | None = None
 ) -> tuple[Assignment, SolveReport]:
@@ -32,7 +22,9 @@ def greedy_assign_basic(
     argmin set, so the objective is the exact optimum.
     """
     require_valid(instance)
-    nominee = cheapest_authors(instance)
+    cost = (0.0, *instance.p).__getitem__  # 1-based
+    # Author lists are ascending and ``min`` keeps the first minimizer.
+    nominee = [min(row, key=cost) for row in instance.rows]
     if seed is not None:
         rng = random.Random(seed)
         p = instance.p

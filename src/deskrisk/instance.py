@@ -60,7 +60,10 @@ class Instance:
         object.__setattr__(
             self, "authorship", tuple(sorted((int(i), int(j)) for i, j in self.authorship))
         )
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
+        # A bool stays as given, for validate to name.
+        object.__setattr__(
+            self, "p", tuple(v if isinstance(v, bool) else float(v) for v in self.p)
+        )
 
     @classmethod
     def from_rows(
@@ -180,18 +183,17 @@ def _find_violations(instance: Instance) -> list[str]:
     if len(instance.p) != instance.m:
         violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
     for j, pj in enumerate(instance.p, start=1):
-        if not (0.0 <= pj <= 1.0):
+        if isinstance(pj, bool):
+            violations.append(f"p_{j} must be a number, got {pj!r}")
+        elif not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
     limit_problem = "" if instance.b is None else _limit_problem(instance.b)
     if limit_problem:
         violations.append(limit_problem)
-    if instance.lam is not None and not _positive_finite(instance.lam):
-        violations.append(f"lambda must be > 0 and finite, got {instance.lam}")
+    lambda_problem = "" if instance.lam is None else _lambda_problem(instance.lam)
+    if lambda_problem:
+        violations.append(lambda_problem)
     return violations
-
-
-def _positive_finite(value: float) -> bool:
-    return value > 0.0 and math.isfinite(value)
 
 
 def _count_problem(name: str, count: object) -> str:
@@ -207,6 +209,15 @@ def _limit_problem(b: object) -> str:
         return f"b must be an integer, got {b!r}"
     if b is None or b < 1:
         return f"b must be >= 1, got {b}"
+    return ""
+
+
+def _lambda_problem(lam: object) -> str:
+    """Why ``lam`` is not a penalty weight, a finite number > 0 (not a bool); "" if it is one."""
+    if isinstance(lam, bool):
+        return f"lambda must be a number, got {lam!r}"
+    if lam is None or not (lam > 0.0 and math.isfinite(lam)):
+        return f"lambda must be > 0 and finite, got {lam}"
     return ""
 
 
@@ -226,8 +237,8 @@ def resolve_limits(
 
     Each defaults to the instance's own value.  ``b`` must be an integer of
     at least 1 (a bool is not one) and the soft variant also needs a finite
-    ``lam > 0``; anything else raises ``ValueError``.  Without ``soft`` the
-    returned weight is ``None``.
+    ``lam > 0`` (not a bool), returned as a ``float``; anything else raises
+    ``ValueError``.  Without ``soft`` the returned weight is ``None``.
     """
     if b is None:
         b = instance.b
@@ -238,9 +249,10 @@ def resolve_limits(
         return b, None
     if lam is None:
         lam = instance.lam
-    if lam is None or not _positive_finite(lam):
-        raise ValueError(f"penalty weight lambda must be > 0 and finite, got {lam}")
-    return b, lam
+    problem = _lambda_problem(lam)
+    if problem:
+        raise ValueError(f"penalty weight {problem}")
+    return b, float(lam)
 
 
 def check_assignment(instance: Instance, assignment: Assignment) -> None:

@@ -85,13 +85,11 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
     papers = obj.get("papers")
     if not isinstance(papers, list) or len(papers) != n:
         raise FormatError(f"instance: 'papers' must be a list of {n} author lists")
-    pairs: list[tuple[int, int]] = []
-    for i, row in enumerate(papers, start=1):
+    for i, row in enumerate(papers):
         if not isinstance(row, list) or not all(
             isinstance(j, int) and not isinstance(j, bool) for j in row
         ):
-            raise FormatError(f"instance: papers[{i - 1}] must be a list of integers")
-        pairs.extend((i, j) for j in row)
+            raise FormatError(f"instance: papers[{i}] must be a list of integers")
     p = obj.get("p")
     if not isinstance(p, list) or not all(map(_is_number, p)):
         raise FormatError("instance: 'p' must be a list of numbers")
@@ -101,14 +99,7 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
     lam = obj.get("lambda")
     if lam is not None and not _is_number(lam):
         raise FormatError(f"instance: 'lambda' must be a number or null, got {lam!r}")
-    return Instance(
-        n=n,
-        m=m,
-        authorship=tuple(pairs),
-        p=tuple(float(v) for v in p),
-        b=b,
-        lam=None if lam is None else float(lam),
-    )
+    return Instance.from_rows(papers, p, b=b, lam=None if lam is None else float(lam), m=m)
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -40,17 +40,17 @@ keeps its slack basic, holds ``y_j`` basic (soft), or is held tight by a pair
 basic at 0 that joins the author to one priced before it.  Both programs are
 network LPs, and this spanning forest is a nonsingular basis (Ahuja,
 Magnanti & Orlin 1993, ch. 11) that is primal and dual feasible, so HiGHS
-only confirms it: 0 iterations on every feasible program, against 3,753
-(hard) and 544 (soft) from the basic greedy's basis at 2000 x 500, and 9,431
-and 1,500 at 6000 x 1500.  So the LP routes report the core's vertex.  A core
-answer that was not optimal would give a basis that is not dual feasible,
-and HiGHS would leave it, by pivots or by moving a pair to its upper bound
-(which counts as no iteration); the certificate trusts nothing from the
-start.  When no assignment meets the hard cap, the start holds each paper's
-cheapest author (lowest index on ties) and every author's slack; from there
-HiGHS proves infeasibility in 1,361 iterations at 2000 x 500 and ``b = 3``,
-against 4,320 from the slack basis.  With a basis set, HiGHS skips presolve.
-A :class:`LinearProgram` without a start solves from the slack basis.
+only confirms it: 0 iterations on every feasible program.  So the LP routes
+report the core's vertex.  A core answer that was not optimal would give a
+basis that is not dual feasible, and HiGHS would leave it, by pivots or by
+moving a pair to its upper bound (which counts as no iteration); the
+certificate trusts nothing from the start.  When no assignment meets the
+hard cap, the start is the optimal basis of the uncapped program (``b =
+n``).  The cap is only the author rows' right-hand side, and a basis's
+reduced costs do not depend on right-hand sides, so that basis is still dual
+feasible, and dual simplex works from it to a proof of infeasibility.  With
+a basis set, HiGHS skips presolve.  A :class:`LinearProgram` without a start
+solves from the slack basis.
 
 HiGHS gets the matrix row by row: the inequality rows first (each ``>=`` row
 negated into a ``<=`` row), then the equality rows, each in the order the
@@ -81,7 +81,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 
 from .flow import _slot_basis
-from .greedy import cheapest_authors
 from .instance import (
     Assignment,
     FractionalSolution,
@@ -542,19 +541,15 @@ def _assignment_lp(
             # y_j >= load_j - b, stated as load_j - y_j <= b.
             entries.append((y_vars[j], -1.0))
         lp.add_ineq(entries, float(b), "<=")
-    found = _slot_basis(instance, b, lam)
-    if found is None:
-        # No assignment fits the cap: start from the basic greedy's nominees.
-        nominees = enumerate(cheapest_authors(instance), start=1)
-        lp.start = LpStart(tuple(pair_vars[pair] for pair in nominees))
-    else:
-        holder, tight = found
-        basic = [pair_vars[i, j + 1] for i, j in enumerate(holder, start=1)]
-        basic += [
-            y_vars[j + 1] if pair is None else pair_vars[pair[0] + 1, pair[1] + 1]
-            for j, pair in tight.items()
-        ]
-        lp.start = LpStart(tuple(basic), tuple(tight))
+    # When no assignment fits the cap, start at the uncapped program's
+    # optimum; the cap is only a right-hand side, so it stays dual feasible.
+    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, instance.n, None)
+    basic = [pair_vars[i, j + 1] for i, j in enumerate(holder, start=1)]
+    basic += [
+        y_vars[j + 1] if pair is None else pair_vars[pair[0] + 1, pair[1] + 1]
+        for j, pair in tight.items()
+    ]
+    lp.start = LpStart(tuple(basic), tuple(tight))
     return lp, pair_vars, y_vars
 
 
@@ -567,8 +562,8 @@ def build_hard_lp(
     fixed at zero and never materialized), one equality row per paper, one
     ``<=`` row per author.  Returns the program and the pair-to-variable map.
     The program starts at the optimal basis around the exact core's answer,
-    or from the basic greedy's nominees when no assignment meets the cap (see
-    the module docstring); a caller that adds an equality row must reset
+    or around the uncapped answer when no assignment meets the cap (see the
+    module docstring); a caller that adds an equality row must reset
     ``start``.
     """
     lp, pair_vars, _ = _assignment_lp(instance, b, None, soft=False)

@@ -75,6 +75,14 @@ class TestValidate:
             inst = Instance(n=1, m=1, authorship=((1, 1),), p=(0.5,), b=b)
             assert validate(inst) == [f"b must be an integer, got {b!r}"]
 
+    def test_booleans_are_not_numbers(self):
+        # The JSON loader refuses true and false in p and lambda; so does validate.
+        inst = Instance(n=1, m=1, authorship=((1, 1),), p=(True,), b=1, lam=True)
+        assert validate(inst) == [
+            "p_1 must be a number, got True",
+            "lambda must be a number, got True",
+        ]
+
     @pytest.mark.parametrize(
         ("n", "m", "message"),
         [
@@ -295,3 +303,31 @@ class TestLimits:
         inst = Instance.from_rows([[1], [1], [1], [1, 2]], p=[0.1, 0.9])
         with pytest.raises(ValueError, match="nomination limit b must be an integer"):
             LIMITED[name](inst, b)
+
+# Every entry point that takes a penalty weight, called with ``(b, lam)``.
+WEIGHTED = {
+    "solve_soft_exact": solve_soft_exact,
+    "solve_soft": solve_soft,
+    "oracle_soft": oracle_soft,
+    "greedy_assign_soft": greedy_assign_soft,
+    "report_for": lambda inst, b, lam: instance_module.report_for(
+        inst, Assignment(nominee=(1,)), "x", soft=(b, lam)
+    ),
+}
+
+
+class TestPenaltyWeight:
+    @pytest.mark.parametrize("lam", [True, False])
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_boolean_weight_is_rejected(self, name, lam):
+        inst = Instance.from_rows([[1]], p=[0.5])
+        with pytest.raises(ValueError, match=f"penalty weight lambda must be a number, got {lam}"):
+            WEIGHTED[name](inst, 1, lam)
+
+    @pytest.mark.parametrize("solve", [solve_soft_exact, solve_soft], ids=["exact", "lp-round"])
+    def test_integer_weight_gives_a_float_penalty(self, solve):
+        # An int lambda used to make the penalty the int 0, which a report
+        # file writes as "penalty": 0 where every other report has 0.0.
+        inst = Instance.from_rows([[1]], p=[0.5])
+        report = solve(inst, 1, 2)[1]
+        assert type(report.penalty) is float and type(report.objective) is float

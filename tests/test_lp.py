@@ -474,8 +474,8 @@ def warm_start_cases() -> list[tuple[str, Instance, int]]:
 class TestWarmStart:
     """The assignment programs start at the exact core's optimal basis; the answer must not move.
 
-    A hard program the core finds infeasible starts from the basic greedy's
-    nominees instead.
+    A hard program the core finds infeasible starts at the optimal basis of
+    the uncapped program instead.
     """
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
@@ -543,16 +543,31 @@ class TestWarmStart:
         assert lp.start == LpStart(basic, (0,))
         assert solve_lp(lp).iterations == 0
 
-    def test_infeasible_hard_program_starts_from_the_basic_greedy(self):
+    def test_infeasible_hard_program_starts_from_the_uncapped_optimum(self):
         # Three papers do not fit two authors at b = 1, so the core has no
-        # answer; the start holds each paper's cheapest author, lower index
-        # on ties, and every slack.
+        # answer.  The start is the optimal basis at b = n, where author 1
+        # holds every paper and its row is held tight.
         inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
+        lp = build_hard_lp(inst, 1)[0]
+        assert lp.start == build_hard_lp(inst, inst.n)[0].start
+        assert lp.start.tight == (0,)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        # With no author on every paper, the start holds each paper's
+        # cheapest author and every slack.
+        inst = Instance.from_rows([[1, 2], [1, 2], [2, 3], [3]], p=[0.1, 0.2, 0.3])
         nominee = greedy_assign_basic(inst)[0].nominee
-        assert nominee == (1, 1, 1)
+        assert nominee == (1, 1, 2, 3)
         lp, pair_vars = build_hard_lp(inst, 1)
         assert lp.start == LpStart(tuple(pair_vars[pair] for pair in enumerate(nominee, start=1)))
         assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("seed, most", [(42, 1_361), (7, 675)])
+    def test_infeasible_conference_program_is_proved_from_the_start(self, seed, most):
+        # At b = 3 the hard program has no answer.  From the slack basis dual
+        # simplex took 4,320 (seed 42) and 5,004 (seed 7) iterations here.
+        solution = solve_lp(build_hard_lp(conference(seed), 3)[0])
+        assert solution.status is LpStatus.INFEASIBLE
+        assert solution.iterations <= most
 
     @staticmethod
     def soft_program():
