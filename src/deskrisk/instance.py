@@ -78,10 +78,12 @@ class Instance:
 
         ``m`` defaults to ``len(p)``.
         """
-        rows = [tuple(row) for row in papers]
+        pairs: list[tuple[int, int]] = []
+        n = 0
+        for n, row in enumerate(papers, start=1):
+            pairs.extend((n, j) for j in row)
         p = tuple(p)
-        pairs = [(i + 1, j) for i, row in enumerate(rows) for j in row]
-        return cls(n=len(rows), m=len(p) if m is None else m, authorship=tuple(pairs), p=p, b=b, lam=lam)
+        return cls(n=n, m=len(p) if m is None else m, authorship=tuple(pairs), p=p, b=b, lam=lam)
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
