@@ -19,6 +19,9 @@ take slots in ascending weight and keep each one that an alternating search
 from its author (author, incident paper, that paper's holder, ...) can
 extend to an unassigned paper.  A failed search proves that no author it
 visited can ever gain a paper, so those authors are skipped from then on.
+Paths move papers between holders but never unassign one, so a cursor per
+author finds its first unassigned paper in O(nnz) over the whole run, and
+the search stops at the first author it reaches that has one.
 Weights are compared exactly, and every flow value is an integer.  The
 soft penalty's two slopes are two kinds of slot per author: the first ``b``
 weigh ``p_j`` and the rest ``p_j + lam`` (in :func:`build_soft_network`, a
@@ -174,38 +177,6 @@ def _exact(cost: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-def _augment(start: int, papers_of: list[list[int]], holder: list[int], dead: list[bool]) -> bool:
-    """Give ``start`` one more paper, moving held papers along an alternating path.
-
-    Breadth-first from ``start``: an incident paper is either unassigned,
-    which ends the search, or held by an author who may take another paper
-    instead.  A failed search marks every author it visited as dead.
-    """
-    if dead[start]:
-        return False
-    gives_up = {start: -1}  # reached author -> paper it yields
-    via: dict[int, int] = {}  # reached paper -> author reaching it
-    queue = [start]
-    for author in queue:
-        for paper in papers_of[author]:
-            if paper in via:
-                continue
-            via[paper] = author
-            other = holder[paper]
-            if other < 0:
-                step = paper
-                while step >= 0:
-                    holder[step] = via[step]
-                    step = gives_up[via[step]]
-                return True
-            if other not in gives_up and not dead[other]:
-                gives_up[other] = paper
-                queue.append(other)
-    for author in gives_up:
-        dead[author] = True
-    return False
-
-
 def check_circulation(network: FlowNetwork, circulation: Circulation) -> list[str]:
     """Verify bounds and per-vertex conservation; returns violations (empty = ok)."""
     violations: list[str] = []
@@ -283,8 +254,16 @@ def _slot_greedy(
     whether it is the lam slot)`` in ascending weight, and each paper's
     holder, which is ``None`` if some paper stays unassigned.  ``b`` and
     ``lam`` must already be resolved and the instance valid.
+
+    The search checks each author for an unassigned paper as it reaches it.
+    Authors are scanned in the order reached, so this stops at the author,
+    paper and path where checking each paper as it is scanned would: the
+    first author reached that has one, and its first.  Along the path each
+    author takes the paper it reached the next one through.  A failed search
+    kills every author it reached; ``reached`` holds a search number or ``dead``.
     """
-    papers_of: list[list[int]] = [[] for _ in range(instance.m)]
+    n, m = instance.n, instance.m
+    papers_of: list[list[int]] = [[] for _ in range(m)]
     for i, j in instance.authorship:
         papers_of[j - 1].append(i - 1)
     slots: list[tuple[int, int, bool]] = []
@@ -295,15 +274,54 @@ def _slot_greedy(
         if extra is not None:
             slots.append((weight + extra, author, True))
     slots.sort(key=itemgetter(0))
-    n = instance.n
     holder = [-1] * n
-    dead = [False] * instance.m
-    assigned = 0
-    for _, author, over in slots:
-        capacity = n if over else b
-        count = 0
-        while count < capacity and assigned < n and _augment(author, papers_of, holder, dead):
-            count += 1
+    cursor = [0] * m  # papers_of[a][:cursor[a]] stay assigned: paths unassign nothing
+    reached = [0] * m
+    gives = [0] * m  # the paper a reached author yields on the path
+    parent = [0] * m  # the author that reached it through that paper
+    dead = n + m + 1  # each search assigns a paper or kills its start
+    search = assigned = 0
+
+    def free_paper(author: int) -> int:
+        papers = papers_of[author]
+        at, end = cursor[author], len(papers)
+        while at < end and holder[papers[at]] >= 0:
+            at += 1
+        cursor[author] = at
+        return papers[at] if at < end else -1
+
+    for _, start, over in slots:
+        room = n if over else b
+        while room and assigned < n and reached[start] < dead:
+            end = start
+            paper = free_paper(start)
+            if paper < 0:
+                search += 1
+                reached[start] = search
+                queue = [start]
+                for author in queue:
+                    for held in papers_of[author]:
+                        other = holder[held]
+                        if reached[other] < search:
+                            reached[other] = search
+                            gives[other] = held
+                            parent[other] = author
+                            paper = free_paper(other)
+                            if paper >= 0:
+                                end = other
+                                break
+                            queue.append(other)
+                    if paper >= 0:
+                        break
+                else:
+                    for author in queue:
+                        reached[author] = dead
+                    break
+            holder[paper] = end
+            while end != start:
+                paper, end = gives[end], parent[end]
+                holder[paper] = end
+            room -= 1
             assigned += 1
     return papers_of, slots, holder if assigned == n else None
 

@@ -161,8 +161,11 @@ def report_to_dict(
 
 def report_from_dict(obj: dict[str, Any]) -> SolveReport:
     _check_format(obj, "report")
+    status, statuses = obj.get("status"), [member.value for member in SolveStatus]
+    if status not in statuses:
+        raise FormatError(f"report: field 'status' must be one of {statuses}, got {status!r}")
     return SolveReport(
-        status=SolveStatus(obj["status"]),
+        status=SolveStatus(status),
         objective=obj.get("objective"),
         expected_rejections=obj.get("expected_rejections"),
         penalty=obj.get("penalty"),

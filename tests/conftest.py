@@ -1,7 +1,8 @@
+import functools
 import random
 from pathlib import Path
 
-from deskrisk import Instance
+from deskrisk import GeneratorSpec, Instance, generate
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,3 +38,9 @@ def edge_cases(rng: random.Random) -> list[tuple[Instance, int]]:
         p = [rng.choice([0.0, 5e-324, rng.random(), 1.0]) for _ in range(m)]
         cases.append((Instance.from_rows(rows, p), b))
     return cases
+
+
+@functools.cache
+def conference(seed: int) -> Instance:
+    """The paper's size: 2000 papers, 500 authors, 3 to 7 authors per paper."""
+    return generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=seed))

@@ -1,8 +1,9 @@
 import random
 from dataclasses import replace
+from operator import itemgetter
 
 import pytest
-from conftest import edge_cases, random_instance
+from conftest import conference, edge_cases, random_instance
 
 from deskrisk import flow
 from deskrisk import (
@@ -370,3 +371,98 @@ class TestSolvePath:
         for (inst, b), (hard, soft) in zip(cases, expected):
             assert solve_hard(inst, b) == hard
             assert solve_soft_exact(inst, b, 0.3) == soft
+
+
+def _reference_slot_greedy(instance, b, lam):
+    """The slot greedy as first written, kept frozen to check the cursor search.
+
+    Each step is a breadth-first search with two fresh dicts that rescans
+    every paper of every author it reaches and stops at the first
+    unassigned paper it scans.
+    """
+    papers_of = [[] for _ in range(instance.m)]
+    for i, j in instance.authorship:
+        papers_of[j - 1].append(i - 1)
+    slots = []
+    extra = None if lam is None else flow._exact(lam)
+    for author, p in enumerate(instance.p):
+        weight = flow._exact(p)
+        slots.append((weight, author, False))
+        if extra is not None:
+            slots.append((weight + extra, author, True))
+    slots.sort(key=itemgetter(0))
+    holder = [-1] * instance.n
+    dead = [False] * instance.m
+
+    def augment(start):
+        if dead[start]:
+            return False
+        gives_up = {start: -1}
+        via = {}
+        queue = [start]
+        for author in queue:
+            for paper in papers_of[author]:
+                if paper in via:
+                    continue
+                via[paper] = author
+                other = holder[paper]
+                if other < 0:
+                    step = paper
+                    while step >= 0:
+                        holder[step] = via[step]
+                        step = gives_up[via[step]]
+                    return True
+                if other not in gives_up and not dead[other]:
+                    gives_up[other] = paper
+                    queue.append(other)
+        for author in gives_up:
+            dead[author] = True
+        return False
+
+    assigned = 0
+    for _, author, over in slots:
+        capacity = instance.n if over else b
+        count = 0
+        while count < capacity and assigned < instance.n and augment(author):
+            count += 1
+            assigned += 1
+    return papers_of, slots, holder if assigned == instance.n else None
+
+
+class TestSlotGreedyMatchesReference:
+    """The cursor search ends at the same author, paper and path as the frozen reference."""
+
+    def assert_same(self, monkeypatch, inst, b, lam):
+        expected = _reference_slot_greedy(inst, b, lam)
+        assert flow._slot_greedy(inst, b, lam) == expected
+        basis = flow._slot_basis(inst, b, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_slot_greedy", _reference_slot_greedy)
+            assert basis == flow._slot_basis(inst, b, lam)
+        return expected[2] is not None
+
+    def test_random_instances_with_tied_p(self, monkeypatch):
+        rng = random.Random(47)
+        feasible = infeasible = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 12), rng.randint(1, 6)
+            rows = [sorted(rng.sample(range(1, m + 1), rng.randint(1, m))) for _ in range(n)]
+            p = [rng.choice([0.0, 0.25, 0.5, 1.0]) for _ in range(m)]
+            inst = Instance.from_rows(rows, p)
+            for b in (1, 2, 3):
+                if self.assert_same(monkeypatch, inst, b, None):
+                    feasible += 1
+                else:
+                    infeasible += 1
+                for lam in (5e-324, 0.05, 0.3, 2.5):
+                    assert self.assert_same(monkeypatch, inst, b, lam)
+        assert feasible > 300 and infeasible > 100
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_conference(self, monkeypatch, seed):
+        # b = 3 leaves 500 authors 1,500 slots for 2,000 papers: Infeasible.
+        inst = conference(seed)
+        for b in (3, 4, 5):
+            for lam in (None, 0.05, 0.3):
+                feasible = self.assert_same(monkeypatch, inst, b, lam)
+                assert feasible == (b > 3 or lam is not None)

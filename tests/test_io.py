@@ -136,6 +136,15 @@ class TestAssignmentAndReportJson:
         )
         assert report_from_dict(report_to_dict(report)) == report
 
+    @pytest.mark.parametrize(
+        "obj",
+        [{"format": 1}, {"format": 1, "status": "Solved"}, {"format": 1, "status": [1]}],
+        ids=["missing", "unknown", "unhashable"],
+    )
+    def test_report_without_a_known_status_is_a_format_error(self, obj):
+        with pytest.raises(FormatError, match="report: field 'status' must be one of"):
+            report_from_dict(obj)
+
     def test_infeasible_report_has_no_solution_fields(self):
         report = SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-flow")
         obj = report_to_dict(report)

@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import re
@@ -6,7 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from conftest import FIXTURES, edge_cases, random_instance
+from conftest import FIXTURES, conference, edge_cases, random_instance
 
 from deskrisk import (
     FractionalSolution,
@@ -367,12 +366,6 @@ def exact_cases() -> list[tuple[Instance, int]]:
         for seed, b in ((1, 4), (2, 5), (3, 4), (4, 6))
     ]
     return cases + edge_cases(random.Random(58))
-
-
-@functools.cache
-def conference(seed: int) -> Instance:
-    """The paper's size: 2000 papers, 500 authors, 3 to 7 authors per paper."""
-    return generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=seed))
 
 
 def near_integer(value: float) -> bool:
