@@ -13,6 +13,7 @@ are pure, so instances and assignments can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -42,7 +43,8 @@ class Instance:
         m: number of authors.
         authorship: sorted tuple of incident ``(paper, author)`` pairs,
             1-based on both sides.  Pair ``(i, j)`` means author ``j`` is on
-            paper ``i``.
+            paper ``i``.  A pair that holds anything but two integers follows
+            the sorted ones as given, for :func:`validate` to name.
         p: per-author irresponsibility probabilities, each in ``[0, 1]``.
             The closed interval is allowed: 0 and 1 are valid inputs.
         b: optional nomination limit (max papers nominating one author).
@@ -57,12 +59,10 @@ class Instance:
     lam: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "authorship", _sorted_pairs(self.authorship))
+        # A bool, str or bytes stays as given, for validate to name.
         object.__setattr__(
-            self, "authorship", tuple(sorted((int(i), int(j)) for i, j in self.authorship))
-        )
-        # A bool stays as given, for validate to name.
-        object.__setattr__(
-            self, "p", tuple(v if isinstance(v, bool) else float(v) for v in self.p)
+            self, "p", tuple(v if isinstance(v, (bool, str, bytes)) else float(v) for v in self.p)
         )
 
     @classmethod
@@ -90,7 +90,7 @@ class Instance:
         """Authors of each paper, ascending; ``rows[i - 1]`` belongs to paper ``i``."""
         out: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.authorship:
-            if 1 <= i <= self.n:
+            if type(i) is int and 1 <= i <= self.n:
                 out[i - 1].append(j)
         return tuple(tuple(row) for row in out)
 
@@ -111,7 +111,31 @@ class Assignment:
     nominee: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nominee", tuple(int(j) for j in self.nominee))
+        object.__setattr__(
+            self, "nominee", tuple(j if type(j) is int else _integer(j) for j in self.nominee)
+        )
+
+
+def _integer(value: object) -> object:
+    """``int(value)`` for an integer, numpy's included; anything else, a bool too, as given."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return value
+
+
+def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, ...]:
+    """The pairs of integer ids, sorted, then every other pair as given.
+
+    Sorting a pair that holds anything else with them could raise; validate names it.
+    """
+    ids, odd = [], []
+    for i, j in authorship:
+        if type(i) is not int:
+            i = _integer(i)
+        if type(j) is not int:
+            j = _integer(j)
+        (ids if type(i) is int is type(j) else odd).append((i, j))
+    return tuple(sorted(ids)) + tuple(odd)
 
 
 @dataclass(frozen=True)
@@ -172,6 +196,9 @@ def _find_violations(instance: Instance) -> list[str]:
     previous = None
     for pair in instance.authorship:
         i, j = pair
+        if not type(i) is int is type(j):
+            violations.append(f"authorship pair ({i!r}, {j!r}) must hold integers")
+            continue
         if not (1 <= i <= n) or not (1 <= j <= m):
             violations.append(f"authorship pair ({i}, {j}) out of range")
             continue
@@ -185,7 +212,7 @@ def _find_violations(instance: Instance) -> list[str]:
     if len(instance.p) != instance.m:
         violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
     for j, pj in enumerate(instance.p, start=1):
-        if isinstance(pj, bool):
+        if not isinstance(pj, float):
             violations.append(f"p_{j} must be a number, got {pj!r}")
         elif not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
@@ -264,8 +291,8 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
             f"assignment has {len(assignment.nominee)} nominees, expected n={instance.n}"
         )
     for i, j in enumerate(assignment.nominee, start=1):
-        if j not in instance.rows[i - 1]:
-            raise InvalidAssignmentError(f"paper {i} nominates non-author {j}")
+        if type(j) is not int or j not in instance.rows[i - 1]:
+            raise InvalidAssignmentError(f"paper {i} nominates non-author {j!r}")
 
 
 def author_loads(instance: Instance, assignment: Assignment) -> list[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .instance import Assignment, Instance, SolveReport, SolveStatus
 
@@ -46,9 +46,18 @@ def _check_format(obj: dict, kind: str) -> None:
 
 def _int_field(obj: dict, key: str, kind: str) -> int:
     value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise FormatError(f"{kind}: field {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _is_integer(value: Any) -> bool:
+    """An int; JSON ``true`` and ``false`` load as bools, which are not integers."""
+    return type(value) is int
+
+
+def _is_integer_list(value: Any) -> bool:
+    return isinstance(value, list) and all(map(_is_integer, value))
 
 
 def _is_number(value: Any) -> bool:
@@ -86,15 +95,13 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
     if not isinstance(papers, list) or len(papers) != n:
         raise FormatError(f"instance: 'papers' must be a list of {n} author lists")
     for i, row in enumerate(papers):
-        if not isinstance(row, list) or not all(
-            isinstance(j, int) and not isinstance(j, bool) for j in row
-        ):
+        if not _is_integer_list(row):
             raise FormatError(f"instance: papers[{i}] must be a list of integers")
     p = obj.get("p")
     if not isinstance(p, list) or not all(map(_is_number, p)):
         raise FormatError("instance: 'p' must be a list of numbers")
     b = obj.get("b")
-    if b is not None and (not isinstance(b, int) or isinstance(b, bool)):
+    if b is not None and not _is_integer(b):
         raise FormatError(f"instance: 'b' must be an integer or null, got {b!r}")
     lam = obj.get("lambda")
     if lam is not None and not _is_number(lam):
@@ -117,9 +124,7 @@ def assignment_to_dict(assignment: Assignment) -> dict[str, Any]:
 def assignment_from_dict(obj: dict[str, Any]) -> Assignment:
     _check_format(obj, "assignment")
     nominee = obj.get("nominee")
-    if not isinstance(nominee, list) or not all(
-        isinstance(j, int) and not isinstance(j, bool) for j in nominee
-    ):
+    if not _is_integer_list(nominee):
         raise FormatError("assignment: 'nominee' must be a list of integers")
     return Assignment(nominee=tuple(nominee))
 
@@ -164,19 +169,32 @@ def report_from_dict(obj: dict[str, Any]) -> SolveReport:
     status, statuses = obj.get("status"), [member.value for member in SolveStatus]
     if status not in statuses:
         raise FormatError(f"report: field 'status' must be one of {statuses}, got {status!r}")
+    solver = obj.get("solver", "")
+    if not isinstance(solver, str):
+        raise FormatError(f"report: field 'solver' must be a string, got {solver!r}")
+    loads = _report_field(obj, "loads", "a list of integers", _is_integer_list)
+    numbers = {key: _report_field(obj, key, "a number", _is_number) for key in _REPORT_NUMBERS}
     return SolveReport(
         status=SolveStatus(status),
-        objective=obj.get("objective"),
-        expected_rejections=obj.get("expected_rejections"),
-        penalty=obj.get("penalty"),
-        loads=None if obj.get("loads") is None else tuple(obj["loads"]),
-        solver=obj.get("solver", ""),
-        seed=obj.get("seed"),
-        lp_bound=obj.get("lp_bound"),
-        rounded_objective=obj.get("rounded_objective"),
-        gap=obj.get("gap"),
-        integral=obj.get("integral"),
+        loads=None if loads is None else tuple(loads),
+        solver=solver,
+        seed=_report_field(obj, "seed", "an integer", _is_integer),
+        integral=_report_field(obj, "integral", "a bool", lambda value: isinstance(value, bool)),
+        **numbers,
     )
+
+
+_REPORT_NUMBERS = (
+    "objective", "expected_rejections", "penalty", "lp_bound", "rounded_objective", "gap"
+)
+
+
+def _report_field(obj: dict[str, Any], key: str, shape: str, fits: Callable[[Any], bool]) -> Any:
+    """``obj[key]``, ``None`` if absent; ``FormatError`` unless it is null or ``fits``."""
+    value = obj.get(key)
+    if value is not None and not fits(value):
+        raise FormatError(f"report: field {key!r} must be {shape} or null, got {value!r}")
+    return value
 
 
 def dumps(obj: dict[str, Any]) -> str:

@@ -4,6 +4,9 @@ Deliberately naive: every feasible assignment is generated and scored, so
 these functions are the ground truth the real solvers are tested against.
 Only usable when the product of per-paper author counts stays under the
 enumeration cap.
+
+One search scores all variants: the basic one at ``b = n``, the hard one
+skipping overloaded candidates, the soft one paying ``lam`` per overload.
 """
 
 from __future__ import annotations
@@ -57,18 +60,7 @@ def oracle_basic(
     Ties go to the lexicographically smallest nominee vector.
     """
     _check_cap(instance, cap)
-    p = instance.p
-    best: tuple[int, ...] | None = None
-    best_obj = float("inf")
-    for nominee in product(*instance.rows):
-        total = 0.0
-        for j in nominee:
-            total += p[j - 1]
-        if total < best_obj:
-            best_obj = total
-            best = nominee
-    assert best is not None
-    return Assignment(nominee=best), best_obj
+    return _search(instance, instance.n, 0.0)
 
 
 def oracle_hard(
@@ -77,29 +69,7 @@ def oracle_hard(
     """Exact optimum with every author load capped at ``b``; ``None`` if infeasible."""
     _check_cap(instance, cap)
     b, _ = resolve_limits(instance, b)
-    p = instance.p
-    m = instance.m
-    best: tuple[int, ...] | None = None
-    best_obj = float("inf")
-    for nominee in product(*instance.rows):
-        loads = [0] * m
-        feasible = True
-        for j in nominee:
-            loads[j - 1] += 1
-            if loads[j - 1] > b:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        total = 0.0
-        for j in nominee:
-            total += p[j - 1]
-        if total < best_obj:
-            best_obj = total
-            best = nominee
-    if best is None:
-        return None
-    return Assignment(nominee=best), best_obj
+    return _search(instance, b, None)
 
 
 def oracle_soft(
@@ -111,23 +81,38 @@ def oracle_soft(
     """Exact optimum of the soft-limit objective (always feasible)."""
     _check_cap(instance, cap)
     b, lam = resolve_limits(instance, b, lam, soft=True)
-    p = instance.p
-    m = instance.m
-    best: tuple[int, ...] | None = None
-    best_obj = float("inf")
+    return _search(instance, b, lam)
+
+
+def _search(instance: Instance, b: int, lam: float | None) -> tuple[Assignment, float] | None:
+    """Lexicographically first candidate of least ``sum p + lam * overload``.
+
+    The overload counts nominations beyond ``b``; with ``lam`` ``None`` an
+    overloaded candidate is skipped.  ``p`` is summed in paper order and the
+    penalty added after, as the evaluators do; their ``+ lam * 0`` is left
+    out, since it leaves a sum of nonnegative ``p`` unchanged.
+    """
+    cost = (0.0, *instance.p)  # cost[j] is p_j, so the loops need no j - 1
+    counting, hard, size = b < instance.n, lam is None, instance.m + 1  # no load passes b >= n
+    best, best_obj = None, float("inf")
     for nominee in product(*instance.rows):
-        loads = [0] * m
+        over = 0
+        if counting:
+            loads = [0] * size
+            for j in nominee:
+                loads[j] += 1
+                if loads[j] > b:
+                    over += 1
+                    if hard:
+                        break
+            if over and hard:
+                continue
         total = 0.0
         for j in nominee:
-            loads[j - 1] += 1
-            total += p[j - 1]
-        over = 0
-        for load in loads:
-            if load > b:
-                over += load - b
-        total += lam * over
+            total += cost[j]
+        if over:
+            total += lam * over
         if total < best_obj:
             best_obj = total
             best = nominee
-    assert best is not None
-    return Assignment(nominee=best), best_obj
+    return None if best is None else (Assignment(nominee=best), best_obj)

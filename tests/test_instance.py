@@ -26,6 +26,7 @@ from deskrisk import (
     validate,
 )
 from deskrisk import instance as instance_module
+from deskrisk.io import instance_to_dict
 
 
 class TestValidate:
@@ -97,6 +98,39 @@ class TestValidate:
         with pytest.raises(InvalidInstanceError, match=re.escape(message)):
             require_valid(inst)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(1, 1.9), (2.5, 2), (True, True), (1, "1"), (1, "x"), (None, 1)],
+        ids=["float-author", "float-paper", "bool", "numeric-str", "str", "none"],
+    )
+    def test_non_integer_ids_are_kept_and_named(self, pair):
+        # Such a pair is neither rounded nor parsed: it stays as given, after
+        # the sorted integer pairs, and makes the instance invalid.
+        inst = Instance(n=2, m=2, authorship=((2, 2), pair, (1, 1)), p=(0.1, 0.2))
+        assert inst.authorship == ((1, 1), (2, 2), pair)
+        assert f"authorship pair ({pair[0]!r}, {pair[1]!r}) must hold integers" in validate(inst)
+        assert len(inst.rows) == 2 and instance_to_dict(inst)["n"] == 2
+        with pytest.raises(InvalidInstanceError, match="must hold integers"):
+            solve_hard(inst, b=2)
+
+    @pytest.mark.parametrize("value", ["0.3", b"0.3"], ids=["str", "bytes"])
+    def test_text_probability_is_kept_and_named(self, value):
+        inst = Instance(n=1, m=1, authorship=((1, "1"),), p=(value,))
+        assert inst.p == (value,)
+        assert validate(inst)[-1] == f"p_1 must be a number, got {value!r}"
+        with pytest.raises(InvalidInstanceError, match="must be a number"):
+            solve_hard(inst, b=1)
+
+    def test_numpy_scalars_are_still_accepted(self):
+        np = pytest.importorskip("numpy")
+        pairs = ((np.int64(1), np.int32(2)), (1, 1))
+        inst = Instance(n=1, m=2, authorship=pairs, p=(np.float64(0.25), np.float32(0.5)))
+        assert inst.authorship == ((1, 1), (1, 2))
+        assert all(type(j) is int for pair in inst.authorship for j in pair)
+        assert inst.p == (0.25, 0.5) and all(type(v) is float for v in inst.p)
+        assert validate(inst) == []
+        assert Assignment(nominee=(np.int64(2),)).nominee == (2,)
+
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)
         assert len(validate(inst)) == 3
@@ -138,6 +172,16 @@ class TestAuthorLoads:
         inst = Instance.from_rows([[1], [1, 2]], p=[0.5, 0.5])
         with pytest.raises(InvalidAssignmentError):
             author_loads(inst, Assignment(nominee=(2, 1)))
+
+    @pytest.mark.parametrize(
+        "nominee", [1.9, 1.0, True, "1"], ids=["float", "integral-float", "bool", "str"]
+    )
+    def test_non_integer_nominee_rejected(self, nominee):
+        inst = Instance.from_rows([[1, 2]], p=[0.5, 0.5])
+        assignment = Assignment(nominee=(nominee,))
+        assert assignment.nominee == (nominee,)
+        with pytest.raises(InvalidAssignmentError, match="non-author"):
+            author_loads(inst, assignment)
 
     def test_wrong_length_rejected(self):
         inst = Instance.from_rows([[1], [1]], p=[0.5])

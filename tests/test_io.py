@@ -145,6 +145,33 @@ class TestAssignmentAndReportJson:
         with pytest.raises(FormatError, match="report: field 'status' must be one of"):
             report_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loads", 5),
+            ("loads", "ab"),
+            ("loads", [1, True]),
+            ("loads", [1.0]),
+            ("objective", "x"),
+            ("expected_rejections", [0.5]),
+            ("penalty", True),
+            ("lp_bound", "0.5"),
+            ("rounded_objective", {}),
+            ("gap", False),
+            ("solver", 3),
+            ("solver", None),
+            ("seed", 1.5),
+            ("seed", True),
+            ("integral", 1),
+            ("integral", "true"),
+        ],
+    )
+    def test_malformed_report_field_is_a_format_error(self, field, value):
+        obj = report_to_dict(SolveReport(status=SolveStatus.OPTIMAL, objective=0.5, solver="x"))
+        obj[field] = value
+        with pytest.raises(FormatError, match=f"report: field '{field}' must be"):
+            report_from_dict(obj)
+
     def test_infeasible_report_has_no_solution_fields(self):
         report = SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-flow")
         obj = report_to_dict(report)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import random_instance
+from conftest import FIXTURES, random_instance
 
 from deskrisk import (
     EnumerationLimitError,
@@ -10,6 +10,7 @@ from deskrisk import (
     author_loads,
     basic_objective,
     enumerate_assignments,
+    load_instance,
     oracle_basic,
     oracle_hard,
     oracle_soft,
@@ -145,3 +146,45 @@ class TestOracleSoft:
             assignment, objective = oracle_soft(inst, b=1, lam=0.7)
             recomputed, _, _ = soft_objective(inst, assignment, b=1, lam=0.7)
             assert recomputed == objective
+
+
+class TestOneSearch:
+    """Each oracle against the first minimum over ``enumerate_assignments``.
+
+    The candidates are scored with the public evaluators, so a change in how
+    the search scores, skips or breaks ties shows as a different nominee or
+    a different float.
+    """
+
+    LAMBDAS = (5e-324, 0.05, 0.3, 2.5)
+
+    @staticmethod
+    def first_minimum(candidates, score):
+        if not candidates:
+            return None
+        best = min(candidates, key=score)  # min keeps the first of equal scores
+        return best.nominee, score(best)
+
+    @staticmethod
+    def found(result):
+        return None if result is None else (result[0].nominee, result[1])
+
+    def test_every_oracle_returns_the_first_minimum(self):
+        fixtures = sorted(FIXTURES.glob("*.json"))
+        assert fixtures
+        rng = random.Random(16)
+        instances = [load_instance(path) for path in fixtures]
+        instances += [random_instance(rng, n_max=5, m_max=4) for _ in range(300)]
+        for inst in instances:
+            candidates = list(enumerate_assignments(inst))
+            basic = self.first_minimum(candidates, lambda a: basic_objective(inst, a))
+            assert self.found(oracle_basic(inst)) == basic
+            for b in (1, 2, 3):
+                fits = [a for a in candidates if max(author_loads(inst, a)) <= b]
+                hard = self.first_minimum(fits, lambda a: basic_objective(inst, a))
+                assert self.found(oracle_hard(inst, b)) == hard
+                for lam in self.LAMBDAS:
+                    soft = self.first_minimum(
+                        candidates, lambda a: soft_objective(inst, a, b, lam)[0]
+                    )
+                    assert self.found(oracle_soft(inst, b, lam)) == soft
