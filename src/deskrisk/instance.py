@@ -59,11 +59,11 @@ class Instance:
     lam: float | None = None
 
     def __post_init__(self) -> None:
+        # numpy's integers become ints; anything else stays, for validate to name.
+        for name in ("n", "m", "b"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         object.__setattr__(self, "authorship", _sorted_pairs(self.authorship))
-        # A bool, str or bytes stays as given, for validate to name.
-        object.__setattr__(
-            self, "p", tuple(v if isinstance(v, (bool, str, bytes)) else float(v) for v in self.p)
-        )
+        object.__setattr__(self, "p", tuple(v if type(v) is float else _number(v) for v in self.p))
 
     @classmethod
     def from_rows(
@@ -88,9 +88,11 @@ class Instance:
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Authors of each paper, ascending; ``rows[i - 1]`` belongs to paper ``i``."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
+        # A count that is not an int gives no rows, as n = 0 does.
+        n = self.n if type(self.n) is int else 0
+        out: list[list[int]] = [[] for _ in range(n)]
         for i, j in self.authorship:
-            if type(i) is int and 1 <= i <= self.n:
+            if type(i) is int and 1 <= i <= n:
                 out[i - 1].append(j)
         return tuple(tuple(row) for row in out)
 
@@ -121,6 +123,16 @@ def _integer(value: object) -> object:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     return value
+
+
+def _number(value: object) -> object:
+    """``float(value)`` for a number; a bool, str or bytes, or what ``float`` refuses, as given."""
+    if isinstance(value, (bool, str, bytes)):
+        return value
+    try:
+        return float(value)
+    except TypeError:
+        return value
 
 
 def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, ...]:
@@ -269,8 +281,7 @@ def resolve_limits(
     ``lam > 0`` (not a bool), returned as a ``float``; anything else raises
     ``ValueError``.  Without ``soft`` the returned weight is ``None``.
     """
-    if b is None:
-        b = instance.b
+    b = instance.b if b is None else _integer(b)
     problem = _limit_problem(b)
     if problem:
         raise ValueError(f"nomination limit {problem}")

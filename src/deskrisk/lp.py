@@ -15,17 +15,11 @@ vertex, which the exact solvers of :mod:`.flow` would show.
 The solve itself is delegated to HiGHS (Huangfu & Hall 2018) through the
 binding that scipy ships in ``scipy/optimize/_highspy``; what this module owns
 is the sparse problem description, the translation to solver form, and an
-independent certification pass.  Every reported optimum is re-checked, in
-``O(nnz)`` with numpy alone, for
-
-* primal feasibility: rows and bounds within 1e-9;
-* dual feasibility: the reduced-cost residual ``max|c - A'y - z|`` within
-  1e-7, and no row dual or reduced cost beyond 1e-7 on an infinite bound;
-* optimality: the objective within 1e-7 of the dual objective, which takes
-  each row's and each variable's bound on the side its dual's sign selects.
-
-A point that fails any check comes back with an Error status rather than
-being trusted; so does one whose residual or gap is NaN.
+independent certification pass, :func:`_certify`.  It re-checks every
+reported optimum in ``O(nnz)`` with numpy alone: primal feasibility within
+1e-9, and dual feasibility and the duality gap within 1e-7.  A point that
+fails any check, or whose residual or gap is NaN, comes back with an Error
+status rather than being trusted.
 
 The backend is HiGHS's dual simplex with devex pricing (Harris 1973; Huangfu
 & Hall 2018), a fixed setting like the tolerances.  The assignment programs
@@ -33,39 +27,32 @@ built here are degenerate transportation LPs, and on them HiGHS's default
 dual steepest-edge pricing takes 2-8x more iterations; devex also beats the
 interior-point method and Dantzig pricing.  A simplex answer is a vertex.
 
-The builders start HiGHS at an optimal basis (Bixby 1992 on initial
-bases), which :func:`.flow._slot_basis` builds from the exact core's answer
-and one price search: every assigned pair is basic at 1, and each author row
-keeps its slack basic, holds ``y_j`` basic (soft), or is held tight by a pair
-basic at 0 that joins the author to one priced before it.  Both programs are
-network LPs, and this spanning forest is a nonsingular basis (Ahuja,
-Magnanti & Orlin 1993, ch. 11) that is primal and dual feasible, so HiGHS
-only confirms it: 0 iterations on every feasible program.  So the LP routes
-report the core's vertex.  A core answer that was not optimal would give a
-basis that is not dual feasible, and HiGHS would leave it, by pivots or by
-moving a pair to its upper bound (which counts as no iteration); the
+The builders start HiGHS at the optimal basis that :func:`.flow._slot_basis`
+builds around the exact core's answer (Bixby 1992 on initial bases; see
+there why it is a nonsingular, primal and dual feasible basis).  So HiGHS
+only confirms it, in 0 iterations on every feasible program, and the LP
+routes report the core's vertex.  A core answer that was not optimal would
+give a basis that is not dual feasible, and HiGHS would leave it, by pivots
+or by moving a pair to its upper bound (which counts as no iteration); the
 certificate trusts nothing from the start.  When no assignment meets the
 hard cap, the start is the optimal basis of the uncapped program (``b =
-n``).  The cap is only the author rows' right-hand side, and a basis's
-reduced costs do not depend on right-hand sides, so that basis is still dual
-feasible, and dual simplex works from it to a proof of infeasibility.  With
-a basis set, HiGHS skips presolve.  A :class:`LinearProgram` without a start
-solves from the slack basis.
+n``): the cap is only a right-hand side, on which a basis's reduced costs
+do not depend, so dual simplex works from it to a proof of infeasibility.
+With a basis set, HiGHS skips presolve.  A :class:`LinearProgram` without a
+start solves from the slack basis.
 
-HiGHS gets the matrix row by row: the inequality rows first (each ``>=`` row
-negated into a ``<=`` row), then the equality rows, each in the order the
-program stores it.  That is the row order scipy's own LP front end uses; the
-row order steers the pivots, and equality rows first would change them.
-Importing ``scipy.optimize`` loads scipy's linalg, sparse, special and
-spatial packages and takes most of a second, so the binding is loaded on its
+HiGHS gets the program as arrays, in one call to the binding's array
+``passModel``: rowwise, the ``<=`` rows first (a ``>=`` row negated), then
+the equality rows, in the program's order (scipy's own; the row order
+steers the pivots), and an integrality array of zeros (an empty one is
+refused).  :func:`_assignment_form` builds both relaxations so, from the
+instance; a :class:`LinearProgram` is built only for ``--dump-lp``,
+:func:`solve_lp` callers and ``perfbench/tracing.py``.  Importing
+``scipy.optimize`` takes most of a second, so the binding is loaded on its
 own, once per process, and reused if ``scipy.optimize`` already loaded it.
-numpy is imported inside :func:`solve_lp` and its helpers
-(:meth:`LinearProgram.check` included), not at module level: building a
-:class:`LinearProgram` needs only the standard library, so the greedy, flow,
-oracle and validate paths (and ``import deskrisk``) load neither numpy nor
-the binding.  The binding itself imports numpy to take a Python list, and a
-pure-Python form and certificate gave the same answers 30-50% slower, so
-numpy stays.
+numpy is imported inside the functions that use it, so ``import deskrisk``
+and the greedy, flow, oracle and validate paths load neither numpy nor the
+binding; a pure-Python form and certificate were 30-50% slower.
 """
 
 from __future__ import annotations
@@ -87,7 +74,6 @@ from .instance import (
     Instance,
     SolveReport,
     SolveStatus,
-    fractional_loads,
     report_for,
     require_valid,
     resolve_limits,
@@ -172,12 +158,7 @@ class LinearProgram:
     def minimize(cls, objective: list[float]) -> "LinearProgram":
         """Fresh program with the default box ``[0, unbounded)`` per variable."""
         k = len(objective)
-        return cls(
-            num_vars=k,
-            objective=list(objective),
-            lower=[0.0] * k,
-            upper=[None] * k,
-        )
+        return cls(num_vars=k, objective=list(objective), lower=[0.0] * k, upper=[None] * k)
 
     def add_eq(self, row: SparseRow, rhs: float) -> None:
         self.eq_rows.append((row, rhs))
@@ -213,8 +194,8 @@ class _SolverForm(NamedTuple):
     negated so that every one reads ``a @ x <= row_upper`` with
     ``row_lower = -inf``; the equality rows follow with
     ``row_lower == row_upper``.  ``row``, ``col`` and ``value`` hold the
-    nonzeros row by row.  ``basic_cols`` and ``basic_rows`` mark the
-    starting basis, and are ``None`` without a start.
+    nonzeros row by row.  ``basic_cols`` and ``basic_rows`` mark the basis
+    that ``start`` states, and all three are ``None`` without a start.
     """
 
     c: np.ndarray
@@ -228,6 +209,7 @@ class _SolverForm(NamedTuple):
     value: np.ndarray
     basic_cols: np.ndarray | None = None
     basic_rows: np.ndarray | None = None
+    start: LpStart | None = None
 
 
 @dataclass
@@ -332,7 +314,7 @@ def _solver_form(lp: LinearProgram) -> _SolverForm:
         if not basic_rows[r]:
             raise ValueError(f"start holds row {r} tight twice")
         basic_rows[r] = False
-    return form._replace(basic_cols=basic_cols, basic_rows=basic_rows)
+    return form._replace(basic_cols=basic_cols, basic_rows=basic_rows, start=lp.start)
 
 
 def _binding_path() -> str:
@@ -379,28 +361,19 @@ def _run_highs(form: _SolverForm) -> _HighsAnswer:
 
     core = _binding()
     num_rows, num_cols = len(form.row_upper), len(form.c)
-    model = core.HighsLp()
-    model.num_col_ = num_cols
-    model.num_row_ = num_rows
-    model.col_cost_ = form.c
-    model.col_lower_ = form.lower
-    model.col_upper_ = form.upper
-    model.row_lower_ = form.row_lower
-    model.row_upper_ = form.row_upper
-    # Row by row, in the form's row order; see the module docstring.
-    matrix = model.a_matrix_
-    matrix.format_ = core.MatrixFormat.kRowwise
-    matrix.num_col_ = num_cols
-    matrix.num_row_ = num_rows
-    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(form.row, minlength=num_rows))))
-    matrix.index_ = form.col
-    matrix.value_ = form.value
-
+    row_start = np.zeros(num_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(form.row, minlength=num_rows), out=row_start[1:])
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS.items():
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS {highs.version()} rejects option {name}={value!r}")
-    if highs.passModel(model) == core.HighsStatus.kError:
+    passed = highs.passModel(
+        num_cols, num_rows, len(form.col), int(core.MatrixFormat.kRowwise),
+        int(core.ObjSense.kMinimize), 0.0, form.c, form.lower, form.upper, form.row_lower,
+        form.row_upper, row_start, form.col.astype(np.int32), form.value,
+        np.zeros(num_cols, dtype=np.int32),
+    )
+    if passed == core.HighsStatus.kError:
         return _HighsAnswer(LpStatus.ERROR, "HiGHS rejected the model", None)
     started = form.basic_cols is not None
     if started and highs.setBasis(_basis(core, form)) == core.HighsStatus.kError:
@@ -431,32 +404,27 @@ def _basis(core: Any, form: _SolverForm) -> Any:
     """
     status = core.HighsBasisStatus
     basis = core.HighsBasis()
-    basis.col_status = [status.kBasic if b else status.kLower for b in form.basic_cols.tolist()]
-    basis.row_status = [status.kBasic if b else status.kUpper for b in form.basic_rows.tolist()]
+    basis.col_status = form.basic_cols.choose([status.kLower, status.kBasic]).tolist()
+    basis.row_status = form.basic_rows.choose([status.kUpper, status.kBasic]).tolist()
     basis.alien = False
     return basis
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve and certify a linear program.
+def solve_lp(lp: LinearProgram | _SolverForm) -> LpSolution:
+    """Solve and certify a linear program, or one already in solver form.
 
     Statuses: Optimal (certified), Infeasible, Unbounded, or Error when the
     backend fails numerically or the certification check rejects its answer.
     """
-    form = _solver_form(lp)
+    form = lp if isinstance(lp, _SolverForm) else _solver_form(lp)
     answer = _run_highs(form)
     if answer.status is not LpStatus.OPTIMAL:
         return LpSolution(status=answer.status, message=answer.message, iterations=answer.iterations)
     problem, gap = _certify(form, answer)
     if problem:
         return LpSolution(status=LpStatus.ERROR, message=problem, iterations=answer.iterations)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        values=tuple(answer.x.tolist()),
-        objective=float(answer.objective),
-        duality_gap=gap,
-        iterations=answer.iterations,
-    )
+    values, objective = tuple(answer.x.tolist()), float(answer.objective)
+    return LpSolution(LpStatus.OPTIMAL, values, objective, gap, iterations=answer.iterations)
 
 
 def _certify(form: _SolverForm, answer: _HighsAnswer) -> tuple[str, float]:
@@ -514,43 +482,78 @@ def _certify(form: _SolverForm, answer: _HighsAnswer) -> tuple[str, float]:
     return "", gap
 
 
+def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's author, 0-based and in pair order, and each paper's number of pairs."""
+    import numpy as np
+
+    rows = instance.rows
+    author = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=instance.nnz) - 1
+    return author, np.fromiter(map(len, rows), dtype=np.intp, count=instance.n)
+
+
+def _assignment_form(
+    instance: Instance, b: int | None, lam: float | None, soft: bool
+) -> _SolverForm:
+    """The hard or (``soft``) soft relaxation in solver form, started at :func:`.flow._slot_basis`.
+
+    Variable ``k`` is the ``k``-th sorted pair, at its author's ``p``; the
+    soft program's ``nnz + j`` is ``y_j`` (0-based).  Author rows come
+    first, with their pairs in pair order and, if soft, ``-y_j`` last
+    (``load_j - y_j <= b``); each paper's row is a run of consecutive pairs.
+    """
+    import numpy as np
+
+    require_valid(instance)
+    b, lam = resolve_limits(instance, b, lam, soft=soft)
+    n, m, nnz = instance.n, instance.m, instance.nnz
+    author, lengths = _pairs(instance)
+    counts = np.bincount(author, minlength=m)
+    # Unique keys sort in pair order within each author, faster than a stable sort.
+    by_author = np.argsort(author * nnz + np.arange(nnz))
+    coeffs, c, upper = np.ones(nnz), np.asarray(instance.p)[author], np.ones(nnz)
+    if soft:
+        ends = np.cumsum(counts)
+        by_author = np.insert(by_author, ends, nnz + np.arange(m))
+        coeffs = np.insert(coeffs, ends, -1.0)
+        counts += 1
+        c = np.concatenate((c, np.full(m, lam)))
+        upper = np.concatenate((upper, np.full(m, math.inf)))
+    col = np.concatenate((by_author, np.arange(nnz)))
+    value = np.concatenate((coeffs, np.ones(nnz)))
+    row = np.repeat(np.arange(m + n), np.concatenate((counts, lengths)))
+    row_upper = np.concatenate((np.full(m, float(b)), np.ones(n)))
+    row_lower = np.concatenate((np.full(m, -math.inf), np.ones(n)))
+
+    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, n, None)
+    basic = np.flatnonzero(author == np.repeat(holder, lengths)).tolist()
+    first, rows = (np.cumsum(lengths) - lengths).tolist(), instance.rows
+    for j, pair in tight.items():
+        basic.append(nnz + j if pair is None else first[pair[0]] + rows[pair[0]].index(pair[1] + 1))
+    basic_cols = np.zeros(len(c), dtype=bool)
+    basic_cols[basic] = True
+    basic_rows = np.arange(m + n) < m
+    basic_rows[list(tight)] = False
+    form = (c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
+    return _SolverForm(*form, basic_cols, basic_rows, LpStart(tuple(basic), tuple(tight)))
+
+
 def _assignment_lp(
     instance: Instance, b: int | None, lam: float | None, soft: bool
 ) -> tuple[LinearProgram, dict[tuple[int, int], int], dict[int, int]]:
-    require_valid(instance)
-    b, lam = resolve_limits(instance, b, lam, soft=soft)
-    nnz = instance.nnz
-    # Variable k is the k-th pair of the sorted authorship, so each paper's
-    # variables are consecutive and no row needs a pair lookup.
+    """:func:`_assignment_form` as a :class:`LinearProgram`, with its variable maps."""
+    import numpy as np
+
+    form = _assignment_form(instance, b, lam, soft)
+    nnz, m = instance.nnz, instance.m
+    upper = [None if up == math.inf else up for up in form.upper.tolist()]
+    lp = LinearProgram(len(form.c), form.c.tolist(), form.lower.tolist(), upper, start=form.start)
+    entries = list(zip(form.col.tolist(), form.value.tolist()))
+    ends = np.cumsum(np.bincount(form.row, minlength=len(form.row_upper))).tolist()
+    rows = [entries[start:end] for start, end in zip([0, *ends], ends)]
+    lp.ineq_rows = [(row, rhs, "<=") for row, rhs in zip(rows[:m], form.row_upper.tolist())]
+    lp.eq_rows = [(row, 1.0) for row in rows[m:]]
     pair_vars = dict(zip(instance.authorship, range(nnz)))
-    y_vars = {} if lam is None else {j: nnz + j - 1 for j in range(1, instance.m + 1)}
-    lp = LinearProgram.minimize(
-        [instance.p[j - 1] for _, j in instance.authorship] + [lam] * len(y_vars)
-    )
-    lp.upper[:nnz] = [1.0] * nnz
-    ones = list(zip(range(nnz), repeat(1.0)))
-    start = 0
-    for row in instance.rows:
-        lp.add_eq(ones[start : start + len(row)], 1.0)
-        start += len(row)
-    by_author: list[SparseRow] = [[] for _ in range(instance.m)]
-    for entry, (_, j) in zip(ones, instance.authorship):
-        by_author[j - 1].append(entry)
-    for j, entries in enumerate(by_author, start=1):
-        if y_vars:
-            # y_j >= load_j - b, stated as load_j - y_j <= b.
-            entries.append((y_vars[j], -1.0))
-        lp.add_ineq(entries, float(b), "<=")
-    # When no assignment fits the cap, start at the uncapped program's
-    # optimum; the cap is only a right-hand side, so it stays dual feasible.
-    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, instance.n, None)
-    basic = [pair_vars[i, j + 1] for i, j in enumerate(holder, start=1)]
-    basic += [
-        y_vars[j + 1] if pair is None else pair_vars[pair[0] + 1, pair[1] + 1]
-        for j, pair in tight.items()
-    ]
-    lp.start = LpStart(tuple(basic), tuple(tight))
-    return lp, pair_vars, y_vars
+    return lp, pair_vars, {j: nnz + j - 1 for j in range(1, m + 1)} if soft else {}
 
 
 def build_hard_lp(
@@ -566,8 +569,7 @@ def build_hard_lp(
     module docstring); a caller that adds an equality row must reset
     ``start``.
     """
-    lp, pair_vars, _ = _assignment_lp(instance, b, None, soft=False)
-    return lp, pair_vars
+    return _assignment_lp(instance, b, None, soft=False)[:2]
 
 
 def build_soft_lp(
@@ -593,25 +595,49 @@ def solve_hard_lp(
     with its expected rejections as the objective, no loads, and
     ``integral=False``.  A backend failure raises ``RuntimeError``.
     """
-    lp, pair_vars = build_hard_lp(instance, b)
-    solution = solve_lp(lp)
+    import numpy as np
+
+    form = _assignment_form(instance, b, None, soft=False)
+    solution = solve_lp(form)
     if solution.status is LpStatus.INFEASIBLE:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
-    x, expected = _read_pairs(instance, pair_vars, solution, "hard relaxation")
-    if all(min(value, abs(value - 1.0)) <= INTEGRALITY_TOL for value in x.values()):
-        # The pairs run in paper order and each paper's row sums to 1.
-        assignment = Assignment(nominee=tuple(j for (_, j), value in x.items() if value > 0.5))
+    x, expected = _read_pairs(form, instance.nnz, solution, "hard relaxation")
+    if np.all(np.minimum(x, np.abs(x - 1.0)) <= INTEGRALITY_TOL):
+        # Each paper's row sums to 1, so one pair per paper is above 1/2.
+        assignment = Assignment(nominee=tuple((_pairs(instance)[0][x > 0.5] + 1).tolist()))
         return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
     report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=expected,
-        expected_rejections=expected,
-        penalty=0.0,
-        loads=None,
-        solver="hard-lp",
-        integral=False,
+        status=SolveStatus.OPTIMAL, objective=expected, expected_rejections=expected,
+        penalty=0.0, loads=None, solver="hard-lp", integral=False,
     )
-    return FractionalSolution(x=x), report
+    return FractionalSolution(x=dict(zip(instance.authorship, x.tolist()))), report
+
+
+def _relax_soft(
+    instance: Instance, b: int | None, lam: float | None
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], SolveReport]:
+    """:func:`solve_soft_relaxed` as arrays: ``x``, ``y``, :func:`_pairs` and the report."""
+    import numpy as np
+
+    b, lam = resolve_limits(instance, b, lam, soft=True)
+    form = _assignment_form(instance, b, lam, soft=True)
+    values, expected_rejections = _read_pairs(form, instance.nnz, solve_lp(form), "soft relaxation")
+    x, y = np.split(values, [instance.nnz])
+    author, lengths = _pairs(instance)
+    over = np.maximum(0.0, np.bincount(author, weights=x, minlength=instance.m) - b)
+    wrong = np.flatnonzero(np.abs(y - over) > EQUIVALENCE_TOL)
+    if wrong.size:
+        j = int(wrong[0])
+        raise RuntimeError(
+            f"overload variable y_{j + 1}={float(y[j])!r} differs from"
+            f" max(0, load-b)={float(over[j])!r}"
+        )
+    penalty = lam * sum(y.tolist())
+    report = SolveReport(
+        status=SolveStatus.OPTIMAL, objective=expected_rejections + penalty,
+        expected_rejections=expected_rejections, penalty=penalty, loads=None, solver="soft-lp",
+    )
+    return x, y, (author, lengths), report
 
 
 def solve_soft_relaxed(
@@ -624,88 +650,62 @@ def solve_soft_relaxed(
     ``EQUIVALENCE_TOL`` means the backend returned a non-optimal point and
     raises instead of propagating a wrong bound.
     """
-    b, lam = resolve_limits(instance, b, lam, soft=True)
-    lp, pair_vars, y_vars = build_soft_lp(instance, b, lam)
-    solution = solve_lp(lp)
-    x, expected_rejections = _read_pairs(instance, pair_vars, solution, "soft relaxation")
-    y = tuple(solution.values[y_vars[j]] for j in range(1, instance.m + 1))
-    fractional = FractionalSolution(x=x, y=y)
-
-    loads = fractional_loads(instance, fractional)
-    for j, (y_j, load) in enumerate(zip(y, loads), start=1):
-        expected = max(0.0, load - b)
-        if abs(y_j - expected) > EQUIVALENCE_TOL:
-            raise RuntimeError(
-                f"overload variable y_{j}={y_j!r} differs from max(0, load-b)={expected!r}"
-            )
-
-    penalty = lam * sum(y)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=expected_rejections + penalty,
-        expected_rejections=expected_rejections,
-        penalty=penalty,
-        loads=None,
-        solver="soft-lp",
-    )
-    return fractional, report
+    x, y, _, report = _relax_soft(instance, b, lam)
+    return FractionalSolution(dict(zip(instance.authorship, x.tolist())), tuple(y.tolist())), report
 
 
 def round_soft(instance: Instance, fractional: FractionalSolution) -> Assignment:
     """Per paper, nominate the author with the largest fractional weight.
 
-    Ties go to the smallest author index.  The per-paper nomination rule is
-    the only constraint of the soft problem, so the result is always a valid
-    assignment; runs in time linear in the number of incidences.
+    Ties go to the smallest author index; a NaN weight counts as ``-inf``.
+    The per-paper nomination rule is the only constraint of the soft
+    problem, so the result is always a valid assignment; runs in time linear
+    in the number of incidences.
     """
-    x = fractional.x
-    nominee: list[int] = []
-    for i, row in enumerate(instance.rows, start=1):
-        best_j = row[0]
-        best_value = x.get((i, row[0]), 0.0)
-        for j in row[1:]:
-            value = x.get((i, j), 0.0)
-            if value > best_value:
-                best_value = value
-                best_j = j
-        nominee.append(best_j)
-    return Assignment(nominee=tuple(nominee))
+    import numpy as np
+
+    weights = map(fractional.x.get, instance.authorship, repeat(0.0))
+    x = np.fromiter(weights, dtype=float, count=instance.nnz)
+    x[np.isnan(x)] = -math.inf
+    return _round(x, *_pairs(instance))
+
+
+def _round(x: np.ndarray, author: np.ndarray, lengths: np.ndarray) -> Assignment:
+    """Per paper the author of its first pair with the largest weight in ``x``."""
+    import numpy as np
+
+    first = np.cumsum(lengths) - lengths
+    best = np.repeat(np.maximum.reduceat(x, first), lengths)
+    pick = np.minimum.reduceat(np.where(x == best, np.arange(len(x)), len(x)), first)
+    return Assignment(nominee=tuple((author[pick] + 1).tolist()))
 
 
 def solve_soft(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[Assignment, SolveReport]:
     """Relax, round, and report both the integral objective and the LP bound."""
-    fractional, relaxed_report = solve_soft_relaxed(instance, b, lam)
-    assignment = round_soft(instance, fractional)
+    x, _, pairs, relaxed_report = _relax_soft(instance, b, lam)
+    assignment = _round(x, *pairs)
     report = report_for(instance, assignment, "soft-lp-round", soft=(b, lam))
     assert report.objective is not None and relaxed_report.objective is not None
-    report = replace(
-        report,
-        lp_bound=relaxed_report.objective,
-        rounded_objective=report.objective,
-        gap=report.objective - relaxed_report.objective,
-    )
+    bound, objective = relaxed_report.objective, report.objective
+    report = replace(report, lp_bound=bound, rounded_objective=objective, gap=objective - bound)
     return assignment, report
 
 
 def _read_pairs(
-    instance: Instance,
-    pair_vars: dict[tuple[int, int], int],
-    solution: LpSolution,
-    name: str,
-) -> tuple[dict[tuple[int, int], float], float]:
-    """The pair weights of a certified answer and their expected rejections.
+    form: _SolverForm, nnz: int, solution: LpSolution, name: str
+) -> tuple[np.ndarray, float]:
+    """A certified answer's values and its ``nnz`` pairs' expected rejections.
 
-    The sum runs in pair order, so equal answers give bit-identical totals.
-    Raises ``RuntimeError`` naming the program ``name`` unless ``solution``
-    is a certified optimum.
+    ``np.cumsum`` adds in pair order, one term at a time (``np.sum`` does
+    not), so equal answers give bit-identical totals.  Raises
+    ``RuntimeError`` naming the program ``name`` unless ``solution`` is a
+    certified optimum.
     """
+    import numpy as np
+
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"{name} failed: {solution.status.value} {solution.message}")
-    assert solution.values is not None
-    x = {pair: solution.values[k] for pair, k in pair_vars.items()}
-    expected = 0.0
-    for (_, j), value in x.items():
-        expected += instance.p[j - 1] * value
-    return x, expected
+    values = np.array(solution.values)
+    return values, float(np.cumsum(form.c[:nnz] * values[:nnz])[-1])

@@ -64,6 +64,13 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_instance.py", "-k", "non_integer"],
     ),
     (
+        "instance-keeps-numpy-counts",
+        "src/deskrisk/instance.py",
+        '        for name in ("n", "m", "b"):\n',
+        "        for name in ():\n",
+        ["tests/test_instance.py", "-k", "numpy_integer_counts"],
+    ),
+    (
         "report-loads-unchecked",
         "src/deskrisk/io.py",
         '    loads = _report_field(obj, "loads", "a list of integers", _is_integer_list)\n',
@@ -73,9 +80,37 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "lp-read-pairs-sums-in-reverse",
         "src/deskrisk/lp.py",
-        "    for (_, j), value in x.items():\n",
-        "    for (_, j), value in reversed(x.items()):\n",
+        "    return values, float(np.cumsum(form.c[:nnz] * values[:nnz])[-1])\n",
+        "    return values, float(np.cumsum((form.c[:nnz] * values[:nnz])[::-1])[-1])\n",
         ["tests/test_golden.py::test_conference_outputs_match_their_fingerprints"],
+    ),
+    (
+        "lp-author-rows-list-their-pairs-in-reverse",
+        "src/deskrisk/lp.py",
+        "    by_author = np.argsort(author * nnz + np.arange(nnz))\n",
+        "    by_author = np.argsort(author * nnz - np.arange(nnz))\n",
+        ["tests/test_lp.py::TestAssignmentForm::test_equals_the_row_list_program"],
+    ),
+    (
+        "soft-rounding-ties-to-the-last-maximum",
+        "src/deskrisk/lp.py",
+        "    pick = np.minimum.reduceat(np.where(x == best, np.arange(len(x)), len(x)), first)\n",
+        "    pick = np.maximum.reduceat(np.where(x == best, np.arange(len(x)), -1), first)\n",
+        ["tests/test_soft.py::TestRoundSoft"],
+    ),
+    (
+        "lp-start-never-set",
+        "src/deskrisk/lp.py",
+        "    started = form.basic_cols is not None\n",
+        "    started = False\n",
+        ["tests/test_lp.py::TestAssignmentVertices::test_conference_lps_certify_without_a_pivot"],
+    ),
+    (
+        "closed-sets-priced-lowest-first",
+        "src/deskrisk/flow.py",
+        "    seeds.sort(key=itemgetter(0), reverse=True)\n",
+        "    seeds.sort(key=itemgetter(0))\n",
+        ["tests/test_lp.py::TestWarmStart::test_every_feasible_program_certifies_without_a_pivot"],
     ),
     (
         "slot-greedy-scans-papers-in-reverse",

@@ -94,6 +94,9 @@ class TestValidate:
     )
     def test_non_integer_count_is_a_violation(self, n, m, message):
         inst = Instance(n=n, m=m, authorship=((1, 1),), p=(0.5,))
+        # A count that is not an int gives no rows, so writing it out works.
+        assert len(inst.rows) == (n if type(n) is int else 0)
+        assert instance_to_dict(inst)["n"] is n
         assert validate(inst)[0] == message
         with pytest.raises(InvalidInstanceError, match=re.escape(message)):
             require_valid(inst)
@@ -113,7 +116,9 @@ class TestValidate:
         with pytest.raises(InvalidInstanceError, match="must hold integers"):
             solve_hard(inst, b=2)
 
-    @pytest.mark.parametrize("value", ["0.3", b"0.3"], ids=["str", "bytes"])
+    @pytest.mark.parametrize(
+        "value", ["0.3", b"0.3", None, 0.3j], ids=["str", "bytes", "none", "complex"]
+    )
     def test_text_probability_is_kept_and_named(self, value):
         inst = Instance(n=1, m=1, authorship=((1, "1"),), p=(value,))
         assert inst.p == (value,)
@@ -130,6 +135,15 @@ class TestValidate:
         assert inst.p == (0.25, 0.5) and all(type(v) is float for v in inst.p)
         assert validate(inst) == []
         assert Assignment(nominee=(np.int64(2),)).nominee == (2,)
+
+    def test_numpy_integer_counts_and_limit_are_ints(self):
+        np = pytest.importorskip("numpy")
+        one = np.int64(1)
+        inst = Instance(n=one, m=np.int32(2), authorship=((1, 1), (1, 2)), p=(0.5, 0.5), b=one)
+        assert (inst.n, inst.m, inst.b) == (1, 2, 1)
+        assert all(type(count) is int for count in (inst.n, inst.m, inst.b))
+        assert validate(inst) == []
+        assert solve_hard(inst, b=np.int64(1))[0].nominee == (1,)
 
     def test_every_violation_is_reported_at_once(self):
         inst = Instance(n=2, m=1, authorship=((1, 1),), p=(2.0,), b=0)

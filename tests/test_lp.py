@@ -4,6 +4,7 @@ import re
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from conftest import FIXTURES, conference, edge_cases, random_instance
 
@@ -27,6 +28,7 @@ from deskrisk import (
     solve_soft_exact,
 )
 from deskrisk import lp as lp_module
+from deskrisk.flow import _slot_basis
 
 
 class TestSolveLp:
@@ -620,3 +622,87 @@ class TestWarmStart:
         solution = solve_lp(self.soft_program())
         assert solution.status is LpStatus.ERROR
         assert solution.message == "HiGHS rejected the starting basis"
+
+
+def _reference_assignment_lp(instance, b, lam):
+    """The relaxation built as first written, kept frozen to check the array builder.
+
+    Python row lists of ``(variable, coefficient)`` pairs, a pair-to-variable
+    dict, and the start looked up in it; soft when ``lam`` is given.
+    """
+    nnz = instance.nnz
+    pair_vars = dict(zip(instance.authorship, range(nnz)))
+    y_vars = {} if lam is None else {j: nnz + j - 1 for j in range(1, instance.m + 1)}
+    lp = LinearProgram.minimize(
+        [instance.p[j - 1] for _, j in instance.authorship] + [lam] * len(y_vars)
+    )
+    lp.upper[:nnz] = [1.0] * nnz
+    ones = [(k, 1.0) for k in range(nnz)]
+    start = 0
+    for row in instance.rows:
+        lp.add_eq(ones[start : start + len(row)], 1.0)
+        start += len(row)
+    by_author = [[] for _ in range(instance.m)]
+    for entry, (_, j) in zip(ones, instance.authorship):
+        by_author[j - 1].append(entry)
+    for j, entries in enumerate(by_author, start=1):
+        if y_vars:
+            entries.append((y_vars[j], -1.0))
+        lp.add_ineq(entries, float(b), "<=")
+    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, instance.n, None)
+    basic = [pair_vars[i, j + 1] for i, j in enumerate(holder, start=1)]
+    basic += [
+        y_vars[j + 1] if pair is None else pair_vars[pair[0] + 1, pair[1] + 1]
+        for j, pair in tight.items()
+    ]
+    lp.start = LpStart(tuple(basic), tuple(tight))
+    return lp
+
+
+def assert_same_form(got, want, case):
+    for name, a, b in zip(got._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, case)
+        else:
+            assert a == b, (name, case)
+
+
+class TestAssignmentForm:
+    """The array builder gives the solver form of the row-list programs, start included."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(71)
+        cases = [(path.stem, load_instance(path)) for path in sorted(FIXTURES.glob("*.json"))]
+        cases += [("random", random_instance(rng)) for _ in range(200)]
+        return cases + [(f"conference {seed}", conference(seed)) for seed in (42, 7)]
+
+    @pytest.mark.parametrize("lam", [None, 5e-324, 0.3, 2.5])
+    def test_equals_the_row_list_program(self, lam):
+        infeasible = 0
+        for source, inst in self.cases():
+            for b in (1, 2, 3, 5):
+                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)
+                assert form.start is not None
+                reference = lp_module._solver_form(_reference_assignment_lp(inst, b, lam))
+                assert_same_form(form, reference, (source, b))
+                view = build_hard_lp(inst, b)[0] if lam is None else build_soft_lp(inst, b, lam)[0]
+                assert_same_form(form, lp_module._solver_form(view), (source, b))
+                infeasible += lam is None and _slot_basis(inst, b, None) is None
+        # The hard programs include some with no assignment under the cap.
+        assert (infeasible > 0) == (lam is None)
+
+    def test_routes_build_no_linear_program(self, monkeypatch):
+        cases = [(conference(42), 5), (Instance.from_rows([[1]] * 5, p=[0.1]), 2)]
+        expected = [(solve_hard_lp(inst, b), solve_soft(inst, b, 0.3)) for inst, b in cases]
+        assert expected[0][0][0] is not None and expected[1][0][0] is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LP route built or converted a LinearProgram")
+
+        for name in ("__init__", "add_eq", "add_ineq"):
+            monkeypatch.setattr(LinearProgram, name, refuse)
+        monkeypatch.setattr(lp_module, "_solver_form", refuse)
+        for (inst, b), (hard, soft) in zip(cases, expected):
+            assert solve_hard_lp(inst, b) == hard
+            assert solve_soft(inst, b, 0.3) == soft

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from conftest import edge_cases, random_instance
@@ -6,6 +7,8 @@ from conftest import edge_cases, random_instance
 from deskrisk import (
     FractionalSolution,
     Instance,
+    LpSolution,
+    LpStatus,
     author_loads,
     build_soft_lp,
     build_soft_network,
@@ -19,6 +22,7 @@ from deskrisk import (
     solve_soft_exact,
     solve_soft_relaxed,
 )
+from deskrisk import lp as lp_module
 
 FORCED = Instance.from_rows([[1], [1]], p=[0.1])  # two papers, one author
 
@@ -89,6 +93,15 @@ class TestSolveSoftRelaxed:
             assert high.objective >= low.objective - 1e-9
 
 
+    def test_overload_that_misses_the_load_raises(self, monkeypatch):
+        # FORCED's two pairs carry both papers to author 1, so y_1 must be 1.
+        answer = LpSolution(status=LpStatus.OPTIMAL, values=(1.0, 1.0, 0.0), objective=0.2)
+        monkeypatch.setattr(lp_module, "solve_lp", lambda lp: answer)
+        message = "overload variable y_1=0.0 differs from max(0, load-b)=1.0"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            solve_soft_relaxed(FORCED, b=1, lam=0.5)
+
+
 class TestRoundSoft:
     def test_strict_argmax(self):
         inst = Instance.from_rows([[1, 2]], p=[0.5, 0.5])
@@ -107,6 +120,29 @@ class TestRoundSoft:
             nominee = tuple(rng.choice(row) for row in inst.rows)
             x = {(i, j): 1.0 if j == nominee[i - 1] else 0.0 for i, j in inst.authorship}
             assert round_soft(inst, FractionalSolution(x=x)).nominee == nominee
+
+    def test_matches_the_per_paper_loop(self):
+        # The loop round_soft was first written as: a strict > keeps the
+        # first maximum, and a pair missing from x weighs 0.
+        rng = random.Random(66)
+        for _ in range(200):
+            inst = random_instance(rng)
+            weights = [0.0, 0.25, 0.5, 1.0]
+            x = {pair: rng.choice(weights) for pair in inst.authorship if rng.random() < 0.8}
+            nominee = []
+            for i, row in enumerate(inst.rows, start=1):
+                best = row[0]
+                for j in row[1:]:
+                    if x.get((i, j), 0.0) > x.get((i, best), 0.0):
+                        best = j
+                nominee.append(best)
+            assert round_soft(inst, FractionalSolution(x=x)).nominee == tuple(nominee)
+
+    def test_nan_weight_counts_as_minus_infinity(self):
+        inst = Instance.from_rows([[1, 2], [1, 2]], p=[0.5, 0.5])
+        nan = float("nan")
+        fractional = FractionalSolution(x={(1, 1): nan, (1, 2): 0.3, (2, 1): nan, (2, 2): nan})
+        assert round_soft(inst, fractional).nominee == (2, 1)
 
 
 class TestSolveSoft:
