@@ -6,7 +6,8 @@ Three problem variants over the same instance data:
   desk-rejected papers (:func:`greedy_assign_basic` is exact);
 * hard limit: additionally cap how many papers may nominate one author
   (:func:`solve_hard` is exact and integral, and reports infeasibility when
-  the cap cannot be met; :func:`solve_hard_lp` solves the relaxation);
+  the cap cannot be met; :func:`solve_hard_lp` returns the assignment at the
+  relaxation's certified vertex);
 * soft limit: replace the cap with a per-overload penalty
   (:func:`solve_soft` relaxes and rounds, :func:`solve_soft_exact` is the
   integral optimum).

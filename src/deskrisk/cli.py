@@ -28,7 +28,6 @@ from .generate import GeneratorSpec, generate
 from .greedy import greedy_assign_basic
 from .instance import (
     Assignment,
-    FractionalSolution,
     Instance,
     SolveReport,
     SolveStatus,
@@ -44,14 +43,7 @@ from .io import (
     report_to_dict,
     save_instance,
 )
-from .lp import (
-    INTEGRALITY_TOL,
-    LinearProgram,
-    build_hard_lp,
-    build_soft_lp,
-    solve_hard_lp,
-    solve_soft,
-)
+from .lp import LinearProgram, build_hard_lp, build_soft_lp, solve_hard_lp, solve_soft
 from .oracle import DEFAULT_ENUMERATION_CAP, oracle_basic, oracle_hard, oracle_soft
 
 EXIT_OK = 0
@@ -79,7 +71,7 @@ def _reported(
 
 # (variant, algorithm) -> the library call that answers it.  Limits go to the
 # solvers as given; an unset one means the instance's own.
-ROUTES: dict[tuple[str, str], Callable[..., tuple[Any, SolveReport]]] = {
+ROUTES: dict[tuple[str, str], Callable[..., tuple[Assignment | None, SolveReport]]] = {
     ("basic", "greedy"): lambda inst, a: greedy_assign_basic(inst, seed=a.seed),
     ("basic", "oracle"): lambda inst, a: _reported(
         inst, "oracle-basic", oracle_basic(inst, cap=a.cap)
@@ -264,12 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 raise ValueError(f"--dump-{kind} applies to the {names} algorithms")
             Path(path).write_text(dumps(_model_to_dict(builders[route](instance, args))))
     solution, report = ROUTES[route](instance, args)
-    extra = None
-    if isinstance(solution, FractionalSolution):
-        x = sorted(solution.x.items())
-        extra = {"x": [[i, j, value] for (i, j), value in x if value > INTEGRALITY_TOL]}
-        solution = None
-    text = dumps(report_to_dict(report, solution, extra))
+    text = dumps(report_to_dict(report, solution))
     if args.output:
         Path(args.output).write_text(text)
     else:

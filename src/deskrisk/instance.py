@@ -12,8 +12,8 @@ are pure, so instances and assignments can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 class SolveStatus(str, Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    ERROR = "Error"
 
 
 class InvalidInstanceError(ValueError):
@@ -49,6 +48,10 @@ class Instance:
             The closed interval is allowed: 0 and 1 are valid inputs.
         b: optional nomination limit (max papers nominating one author).
         lam: optional penalty weight for the soft-limit objective.
+
+    A number in ``p`` or ``lam`` becomes a ``float``; a bool, numpy's
+    included, or a value that is no number or too large for a float stays
+    as given, for :func:`validate` to name.
     """
 
     n: int
@@ -64,6 +67,7 @@ class Instance:
             object.__setattr__(self, name, _integer(getattr(self, name)))
         object.__setattr__(self, "authorship", _sorted_pairs(self.authorship))
         object.__setattr__(self, "p", tuple(v if type(v) is float else _number(v) for v in self.p))
+        object.__setattr__(self, "lam", _number(self.lam))
 
     @classmethod
     def from_rows(
@@ -126,12 +130,17 @@ def _integer(value: object) -> object:
 
 
 def _number(value: object) -> object:
-    """``float(value)`` for a number; a bool, str or bytes, or what ``float`` refuses, as given."""
-    if isinstance(value, (bool, str, bytes)):
+    """``float(value)`` for a number, numpy's included; anything else as given.
+
+    A bool, numpy's too (no :class:`numbers.Number`), is not a number here.
+    What ``float`` refuses, such as a complex or an int too large for a
+    float, stays as given as well.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
         return value
     try:
         return float(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return value
 
 
@@ -170,7 +179,9 @@ class SolveReport:
     ``objective == expected_rejections + penalty`` whenever a solution is
     present; an Infeasible report carries no solution fields.  ``lp_bound``,
     ``rounded_objective`` and ``gap`` are filled by the relax-and-round
-    pipeline, ``integral`` by the relaxation-only path.
+    pipeline.  ``integral`` is True on every hard-LP report
+    (:func:`.lp.solve_hard_lp`) that carries a solution, and ``None`` on
+    every other report.
     """
 
     status: SolveStatus
@@ -224,7 +235,8 @@ def _find_violations(instance: Instance) -> list[str]:
     if len(instance.p) != instance.m:
         violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
     for j, pj in enumerate(instance.p, start=1):
-        if not isinstance(pj, float):
+        # An int here is one too large for a float.
+        if isinstance(pj, bool) or not isinstance(pj, (float, int)):
             violations.append(f"p_{j} must be a number, got {pj!r}")
         elif not (0.0 <= pj <= 1.0):
             violations.append(f"p_{j} out of [0,1]: {pj}")
@@ -254,10 +266,13 @@ def _limit_problem(b: object) -> str:
 
 
 def _lambda_problem(lam: object) -> str:
-    """Why ``lam`` is not a penalty weight, a finite number > 0 (not a bool); "" if it is one."""
-    if isinstance(lam, bool):
+    """Why ``lam``, as :func:`_number` left it, is not a finite float > 0; "" if it is one.
+
+    An int here is one too large for a float.
+    """
+    if isinstance(lam, bool) or not isinstance(lam, (float, int, type(None))):
         return f"lambda must be a number, got {lam!r}"
-    if lam is None or not (lam > 0.0 and math.isfinite(lam)):
+    if lam is None or not 0.0 < lam <= sys.float_info.max:
         return f"lambda must be > 0 and finite, got {lam}"
     return ""
 
@@ -287,12 +302,11 @@ def resolve_limits(
         raise ValueError(f"nomination limit {problem}")
     if not soft:
         return b, None
-    if lam is None:
-        lam = instance.lam
+    lam = instance.lam if lam is None else _number(lam)
     problem = _lambda_problem(lam)
     if problem:
         raise ValueError(f"penalty weight {problem}")
-    return b, float(lam)
+    return b, lam
 
 
 def check_assignment(instance: Instance, assignment: Assignment) -> None:

@@ -106,7 +106,7 @@ def instance_from_dict(obj: dict[str, Any]) -> Instance:
     lam = obj.get("lambda")
     if lam is not None and not _is_number(lam):
         raise FormatError(f"instance: 'lambda' must be a number or null, got {lam!r}")
-    return Instance.from_rows(papers, p, b=b, lam=None if lam is None else float(lam), m=m)
+    return Instance.from_rows(papers, p, b=b, lam=lam, m=m)
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -137,12 +137,8 @@ def save_assignment(assignment: Assignment, path: str | Path) -> None:
     Path(path).write_text(dumps(assignment_to_dict(assignment)))
 
 
-def report_to_dict(
-    report: SolveReport,
-    assignment: Assignment | None = None,
-    extra: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Serialize a report; optional extras are appended after the core fields."""
+def report_to_dict(report: SolveReport, assignment: Assignment | None = None) -> dict[str, Any]:
+    """Serialize a report, with the nominees last when ``assignment`` is given."""
     obj: dict[str, Any] = {
         "format": FORMAT_VERSION,
         "status": report.status.value,
@@ -159,8 +155,6 @@ def report_to_dict(
             obj[key] = value
     if assignment is not None:
         obj["nominee"] = list(assignment.nominee)
-    if extra:
-        obj.update(extra)
     return obj
 
 

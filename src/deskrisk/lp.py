@@ -31,7 +31,9 @@ The builders start HiGHS at the optimal basis that :func:`.flow._slot_basis`
 builds around the exact core's answer (Bixby 1992 on initial bases; see
 there why it is a nonsingular, primal and dual feasible basis).  So HiGHS
 only confirms it, in 0 iterations on every feasible program, and the LP
-routes report the core's vertex.  A core answer that was not optimal would
+routes report the core's vertex.  :func:`solve_hard_lp` answers with that
+vertex's assignment; a certified answer that is not integral raises, as a
+failed certificate does.  A core answer that was not optimal would
 give a basis that is not dual feasible, and HiGHS would leave it, by pivots
 or by moving a pair to its upper bound (which counts as no iteration); the
 certificate trusts nothing from the start.  When no assignment meets the
@@ -493,13 +495,14 @@ def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _assignment_form(
     instance: Instance, b: int | None, lam: float | None, soft: bool
-) -> _SolverForm:
+) -> tuple[_SolverForm, tuple[np.ndarray, np.ndarray]]:
     """The hard or (``soft``) soft relaxation in solver form, started at :func:`.flow._slot_basis`.
 
     Variable ``k`` is the ``k``-th sorted pair, at its author's ``p``; the
     soft program's ``nnz + j`` is ``y_j`` (0-based).  Author rows come
     first, with their pairs in pair order and, if soft, ``-y_j`` last
     (``load_j - y_j <= b``); each paper's row is a run of consecutive pairs.
+    Returns the form and the :func:`_pairs` arrays it was built from.
     """
     import numpy as np
 
@@ -534,7 +537,8 @@ def _assignment_form(
     basic_rows = np.arange(m + n) < m
     basic_rows[list(tight)] = False
     form = (c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
-    return _SolverForm(*form, basic_cols, basic_rows, LpStart(tuple(basic), tuple(tight)))
+    start = LpStart(tuple(basic), tuple(tight))
+    return _SolverForm(*form, basic_cols, basic_rows, start), (author, lengths)
 
 
 def _assignment_lp(
@@ -543,7 +547,7 @@ def _assignment_lp(
     """:func:`_assignment_form` as a :class:`LinearProgram`, with its variable maps."""
     import numpy as np
 
-    form = _assignment_form(instance, b, lam, soft)
+    form = _assignment_form(instance, b, lam, soft)[0]
     nnz, m = instance.nnz, instance.m
     upper = [None if up == math.inf else up for up in form.upper.tolist()]
     lp = LinearProgram(len(form.c), form.c.tolist(), form.lower.tolist(), upper, start=form.start)
@@ -585,45 +589,48 @@ def build_soft_lp(
 
 def solve_hard_lp(
     instance: Instance, b: int | None = None
-) -> tuple[Assignment | FractionalSolution | None, SolveReport]:
-    """Certified optimum of :func:`build_hard_lp`'s relaxation.
+) -> tuple[Assignment | None, SolveReport]:
+    """The assignment at the certified optimal vertex of :func:`build_hard_lp`'s relaxation.
 
-    Returns the assignment when every pair weight is within
-    ``INTEGRALITY_TOL`` of 0 or 1, with a :func:`.instance.report_for` report
-    marked ``integral``; ``(None, report)`` with an Infeasible status when no
-    fractional assignment meets the cap; otherwise the fractional solution,
-    with its expected rejections as the objective, no loads, and
-    ``integral=False``.  A backend failure raises ``RuntimeError``.
+    Its report is :func:`.instance.report_for`'s, marked ``integral``.
+    Returns ``(None, report)`` with an Infeasible status when no fractional
+    assignment meets the cap.  Raises ``RuntimeError`` when the backend fails
+    or its answer fails the certificate, and when a certified pair weight is
+    farther than ``INTEGRALITY_TOL`` from both 0 and 1, naming the first such
+    pair; the program is totally unimodular, so that means a non-vertex answer.
     """
     import numpy as np
 
-    form = _assignment_form(instance, b, None, soft=False)
+    form, (author, _) = _assignment_form(instance, b, None, soft=False)
     solution = solve_lp(form)
     if solution.status is LpStatus.INFEASIBLE:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
-    x, expected = _read_pairs(form, instance.nnz, solution, "hard relaxation")
-    if np.all(np.minimum(x, np.abs(x - 1.0)) <= INTEGRALITY_TOL):
-        # Each paper's row sums to 1, so one pair per paper is above 1/2.
-        assignment = Assignment(nominee=tuple((_pairs(instance)[0][x > 0.5] + 1).tolist()))
-        return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL, objective=expected, expected_rejections=expected,
-        penalty=0.0, loads=None, solver="hard-lp", integral=False,
-    )
-    return FractionalSolution(x=dict(zip(instance.authorship, x.tolist()))), report
+    x = _values(solution, "hard relaxation")
+    # Written so that a NaN weight fails the test too.
+    off = np.flatnonzero(~(np.minimum(x, np.abs(x - 1.0)) <= INTEGRALITY_TOL))
+    if off.size:
+        (i, j), value = instance.authorship[off[0]], float(x[off[0]])
+        raise RuntimeError(f"hard relaxation answer is not integral: x[{i}, {j}] = {value!r}")
+    # Each paper's row sums to 1, so its one pair at 1 names its nominee.
+    assignment = Assignment(nominee=tuple((author[x > 0.5] + 1).tolist()))
+    return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
 
 
 def _relax_soft(
     instance: Instance, b: int | None, lam: float | None
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], SolveReport]:
-    """:func:`solve_soft_relaxed` as arrays: ``x``, ``y``, :func:`_pairs` and the report."""
+    """:func:`solve_soft_relaxed` as arrays: ``x``, ``y``, :func:`_pairs` and the report.
+
+    ``np.cumsum`` adds the expected rejections in pair order, one term at a
+    time (``np.sum`` does not), so equal answers give bit-identical totals.
+    """
     import numpy as np
 
     b, lam = resolve_limits(instance, b, lam, soft=True)
-    form = _assignment_form(instance, b, lam, soft=True)
-    values, expected_rejections = _read_pairs(form, instance.nnz, solve_lp(form), "soft relaxation")
-    x, y = np.split(values, [instance.nnz])
-    author, lengths = _pairs(instance)
+    form, (author, lengths) = _assignment_form(instance, b, lam, soft=True)
+    nnz = instance.nnz
+    x, y = np.split(_values(solve_lp(form), "soft relaxation"), [nnz])
+    expected_rejections = float(np.cumsum(form.c[:nnz] * x)[-1])
     over = np.maximum(0.0, np.bincount(author, weights=x, minlength=instance.m) - b)
     wrong = np.flatnonzero(np.abs(y - over) > EQUIVALENCE_TOL)
     if wrong.size:
@@ -693,19 +700,10 @@ def solve_soft(
     return assignment, report
 
 
-def _read_pairs(
-    form: _SolverForm, nnz: int, solution: LpSolution, name: str
-) -> tuple[np.ndarray, float]:
-    """A certified answer's values and its ``nnz`` pairs' expected rejections.
-
-    ``np.cumsum`` adds in pair order, one term at a time (``np.sum`` does
-    not), so equal answers give bit-identical totals.  Raises
-    ``RuntimeError`` naming the program ``name`` unless ``solution`` is a
-    certified optimum.
-    """
+def _values(solution: LpSolution, name: str) -> np.ndarray:
+    """A certified answer's values; ``RuntimeError`` naming the program ``name`` otherwise."""
     import numpy as np
 
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"{name} failed: {solution.status.value} {solution.message}")
-    values = np.array(solution.values)
-    return values, float(np.cumsum(form.c[:nnz] * values[:nnz])[-1])
+    return np.array(solution.values)

@@ -71,6 +71,27 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_instance.py", "-k", "numpy_integer_counts"],
     ),
     (
+        "validate-skips-duplicate-pairs",
+        "src/deskrisk/instance.py",
+        "        if pair == previous:\n",
+        "        if False:\n",
+        ["tests/test_instance.py", "-k", "duplicate"],
+    ),
+    (
+        "instance-takes-numpy-bools-as-numbers",
+        "src/deskrisk/instance.py",
+        "    if isinstance(value, bool) or not isinstance(value, numbers.Number):\n",
+        "    if isinstance(value, (bool, str, bytes)):\n",
+        ["tests/test_instance.py", "-k", "numpy_boolean"],
+    ),
+    (
+        "instance-lets-a-huge-int-overflow",
+        "src/deskrisk/instance.py",
+        "    except (TypeError, OverflowError):\n",
+        "    except TypeError:\n",
+        ["tests/test_instance.py", "tests/test_io.py", "-k", "too_large"],
+    ),
+    (
         "report-loads-unchecked",
         "src/deskrisk/io.py",
         '    loads = _report_field(obj, "loads", "a list of integers", _is_integer_list)\n',
@@ -78,10 +99,10 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_io.py::TestAssignmentAndReportJson", "-k", "malformed_report_field"],
     ),
     (
-        "lp-read-pairs-sums-in-reverse",
+        "soft-relaxation-sums-in-reverse",
         "src/deskrisk/lp.py",
-        "    return values, float(np.cumsum(form.c[:nnz] * values[:nnz])[-1])\n",
-        "    return values, float(np.cumsum((form.c[:nnz] * values[:nnz])[::-1])[-1])\n",
+        "    expected_rejections = float(np.cumsum(form.c[:nnz] * x)[-1])\n",
+        "    expected_rejections = float(np.cumsum((form.c[:nnz] * x)[::-1])[-1])\n",
         ["tests/test_golden.py::test_conference_outputs_match_their_fingerprints"],
     ),
     (
@@ -106,10 +127,24 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_lp.py::TestAssignmentVertices::test_conference_lps_certify_without_a_pivot"],
     ),
     (
+        "start-holds-a-geq-row-tight",
+        "src/deskrisk/lp.py",
+        '        if not (isinstance(r, int) and 0 <= r < num_ineq and senses[r] == "<="):\n',
+        "        if not (isinstance(r, int) and 0 <= r < num_ineq):\n",
+        ["tests/test_lp.py::TestWarmStart::test_tight_row_must_be_a_leq_row"],
+    ),
+    (
         "closed-sets-priced-lowest-first",
         "src/deskrisk/flow.py",
         "    seeds.sort(key=itemgetter(0), reverse=True)\n",
         "    seeds.sort(key=itemgetter(0))\n",
+        ["tests/test_lp.py::TestWarmStart::test_every_feasible_program_certifies_without_a_pivot"],
+    ),
+    (
+        "slot-greedy-takes-slots-by-author",
+        "src/deskrisk/flow.py",
+        "    slots.sort(key=itemgetter(0))\n",
+        "    slots.sort(key=itemgetter(1))\n",
         ["tests/test_lp.py::TestWarmStart::test_every_feasible_program_certifies_without_a_pivot"],
     ),
     (
@@ -118,6 +153,20 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "                    for held in papers_of[author]:\n",
         "                    for held in reversed(papers_of[author]):\n",
         ["tests/test_flow.py::TestSlotGreedyMatchesReference"],
+    ),
+    (
+        "hard-lp-accepts-a-fractional-answer",
+        "src/deskrisk/lp.py",
+        "    if off.size:\n",
+        "    if False:\n",
+        ["tests/test_lp.py::TestSolveHardLp::test_fractional_answer_raises_naming_its_first_pair"],
+    ),
+    (
+        "hard-lp-integrality-check-passes-nan",
+        "src/deskrisk/lp.py",
+        "    off = np.flatnonzero(~(np.minimum(x, np.abs(x - 1.0)) <= INTEGRALITY_TOL))\n",
+        "    off = np.flatnonzero(np.minimum(x, np.abs(x - 1.0)) > INTEGRALITY_TOL)\n",
+        ["tests/test_lp.py::TestSolveHardLp::test_fractional_answer_raises_naming_its_first_pair"],
     ),
     (
         "hard-lp-drops-integral",
@@ -132,6 +181,20 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "    return EXIT_INFEASIBLE if report.status is SolveStatus.INFEASIBLE else EXIT_OK\n",
         "    return EXIT_OK\n",
         ["tests/test_cli.py::TestSolveCommand::test_infeasible_instance_exits_2"],
+    ),
+    (
+        "greedy-ties-to-the-highest-index",
+        "src/deskrisk/greedy.py",
+        "    nominee = [min(row, key=cost) for row in instance.rows]\n",
+        "    nominee = [min(row[::-1], key=cost) for row in instance.rows]\n",
+        ["tests/test_greedy.py::test_tie_breaks_to_smallest_index_without_seed"],
+    ),
+    (
+        "baseline-error-case-draw-reversed",
+        "src/deskrisk/baselines.py",
+        "            candidates, err = row, True\n",
+        "            candidates, err = row[::-1], True\n",
+        ["tests/test_golden.py::test_conference_outputs_match_their_fingerprints"],
     ),
     (
         "greedy-imports-numpy",

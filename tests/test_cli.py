@@ -132,6 +132,16 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         assert run_cli(["validate", "no-such-file.json"]) == 1
 
+    def test_lambda_too_large_for_a_float_is_named(self, tmp_path, capsys):
+        obj = json.loads((FIXTURES / "frac_2x2.json").read_text())
+        obj["lambda"] = 10**400  # json writes the 401 digits
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"lambda must be > 0 and finite, got {10**400}\n"
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "name, code, out", [("frac_2x2.json", 0, "ok\n"), ("no-such-file.json", 1, "")]
     )
@@ -294,7 +304,7 @@ class TestSolveCommand:
         assert code == 0
         report = read_report(out)
         assert report["objective"] == pytest.approx(1 / 3, abs=1e-7)
-        assert report["integral"] in (True, False)
+        assert report["integral"] is True
 
     def test_greedy_objective_reevaluates_from_the_report(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -390,6 +400,27 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite number" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p", [10**400, 0.5], f"p_1 out of [0,1]: {10**400}"),
+            ("lambda", 10**400, f"lambda must be > 0 and finite, got {10**400}"),
+        ],
+        ids=["p", "lambda"],
+    )
+    def test_number_too_large_for_a_float_is_an_input_error(
+        self, tmp_path, capsys, field, value, message
+    ):
+        obj = json.loads((FIXTURES / "frac_2x2.json").read_text())
+        obj[field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        code = run_cli(["solve", str(path), "--variant", "soft", "--b", "1", "--lambda", "0.5",
+                        "--algorithm", "exact-flow"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
         failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
         monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: failed)
@@ -415,22 +446,19 @@ class TestSolveCommand:
         assert captured.err == "error: hard relaxation failed: Error numerical trouble\n"
         assert not out.exists()
 
-    def test_fractional_hard_lp_answer_reports_the_nonzero_weights(self, monkeypatch, capsys):
+    def test_fractional_hard_lp_answer_is_an_error_exit(self, monkeypatch, tmp_path, capsys):
         # frac_2x2's pairs (1, 1), (1, 2), (2, 1), (2, 2), at p = 1/6 each.
         values = (0.5, 0.5, 0.0, 1.0)
         answer = LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
         monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: answer)
+        out = tmp_path / "report.json"
         code = run_cli(["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard",
-                        "--b", "1", "--algorithm", "lp"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "Optimal"
-        assert report["integral"] is False
-        assert report["loads"] is None
-        assert "nominee" not in report
-        assert report["x"] == [[1, 1, 0.5], [1, 2, 0.5], [2, 2, 1.0]]
-        assert report["objective"] == report["expected_rejections"] == pytest.approx(1 / 3)
-        assert report["penalty"] == 0.0
+                        "--b", "1", "--algorithm", "lp", "-o", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hard relaxation answer is not integral: x[1, 1] = 0.5\n"
+        assert not out.exists()
 
     def test_wrong_variant_algorithm_combo_is_an_input_error(self, capsys):
         code = run_cli(

@@ -136,6 +136,27 @@ class TestValidate:
         assert validate(inst) == []
         assert Assignment(nominee=(np.int64(2),)).nominee == (2,)
 
+    def test_numpy_booleans_are_not_numbers(self):
+        # numpy's bool is no Python bool, but float() takes it as 1.0 or 0.0.
+        np = pytest.importorskip("numpy")
+        pairs = ((1, 1), (1, 2))
+        inst = Instance(n=1, m=2, authorship=pairs, p=(np.True_, 0.5))
+        assert inst.p[0] is np.True_
+        assert validate(inst) == [f"p_1 must be a number, got {np.True_!r}"]
+        inst = Instance(n=1, m=2, authorship=pairs, p=(0.5, 0.5), lam=np.False_)
+        assert validate(inst) == [f"lambda must be a number, got {np.False_!r}"]
+
+    def test_integers_too_large_for_a_float_are_kept_and_named(self):
+        huge = 10**400
+        inst = Instance(n=1, m=1, authorship=((1, 1),), p=(huge,), lam=huge)
+        assert inst.p == (huge,) and inst.lam == huge
+        assert validate(inst) == [
+            f"p_1 out of [0,1]: {huge}",
+            f"lambda must be > 0 and finite, got {huge}",
+        ]
+        with pytest.raises(InvalidInstanceError, match="p_1 out of"):
+            solve_hard(inst, b=1)
+
     def test_numpy_integer_counts_and_limit_are_ints(self):
         np = pytest.importorskip("numpy")
         one = np.int64(1)
@@ -381,6 +402,29 @@ class TestPenaltyWeight:
         inst = Instance.from_rows([[1]], p=[0.5])
         with pytest.raises(ValueError, match=f"penalty weight lambda must be a number, got {lam}"):
             WEIGHTED[name](inst, 1, lam)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_numpy_boolean_weight_is_rejected(self, name):
+        np = pytest.importorskip("numpy")
+        inst = Instance.from_rows([[1]], p=[0.5])
+        message = f"penalty weight lambda must be a number, got {np.True_!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WEIGHTED[name](inst, 1, np.True_)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTED))
+    def test_weight_too_large_for_a_float_is_rejected(self, name):
+        inst = Instance.from_rows([[1]], p=[0.5])
+        message = f"penalty weight lambda must be > 0 and finite, got {10**400}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WEIGHTED[name](inst, 1, 10**400)
+
+    def test_numpy_and_integer_weights_become_floats(self):
+        np = pytest.importorskip("numpy")
+        inst = Instance.from_rows([[1]], p=[0.5], lam=np.int64(2))
+        assert type(inst.lam) is float and validate(inst) == []
+        for lam, want in ((np.float64(0.3), 0.3), (np.float32(0.25), 0.25), (3, 3.0), (None, 2.0)):
+            got = instance_module.resolve_limits(inst, 1, lam, soft=True)[1]
+            assert got == want and type(got) is float
 
     @pytest.mark.parametrize("solve", [solve_soft_exact, solve_soft], ids=["exact", "lp-round"])
     def test_integer_weight_gives_a_float_penalty(self, solve):

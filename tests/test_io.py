@@ -113,6 +113,18 @@ class TestInstanceJson:
         inst = load_instance(path)
         assert any("duplicate" in v for v in validate(inst))
 
+    @pytest.mark.parametrize("field", ["p", "lambda"])
+    def test_number_too_large_for_a_float_is_kept_for_validate(self, tmp_path, field):
+        huge = 10**400
+        base = instance_to_dict(Instance.from_rows([[1]], p=[0.5]))
+        base[field] = [huge] if field == "p" else huge
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(base))
+        inst = load_instance(path)
+        assert (inst.p[0] if field == "p" else inst.lam) == huge
+        message = "p_1 out of [0,1]:" if field == "p" else "lambda must be > 0 and finite, got"
+        assert validate(inst) == [f"{message} {huge}"]
+
 
 class TestAssignmentAndReportJson:
     def test_assignment_round_trip(self, tmp_path):

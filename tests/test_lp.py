@@ -9,7 +9,6 @@ import pytest
 from conftest import FIXTURES, conference, edge_cases, random_instance
 
 from deskrisk import (
-    FractionalSolution,
     GeneratorSpec,
     Instance,
     LinearProgram,
@@ -438,17 +437,19 @@ class TestSolveHardLp:
         assert rounded == exact
         assert math.isclose(report.lp_bound, exact_report.objective, rel_tol=1e-9)
 
-    def test_fractional_answer_is_returned_with_its_weights(self, monkeypatch):
+    def test_fractional_answer_raises_naming_its_first_pair(self, monkeypatch):
+        # The program is totally unimodular, so only a non-vertex answer is
+        # fractional.  frac_2x2's pairs are (1, 1), (1, 2), (2, 1), (2, 2).
         inst = load_instance(FIXTURES / "frac_2x2.json")
-        values = (0.5, 0.5, 0.0, 1.0)
-        answer = lp_module.LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
-        monkeypatch.setattr(lp_module, "solve_lp", lambda lp: answer)
-        solution, report = solve_hard_lp(inst, 1)
-        assert solution == FractionalSolution(
-            x={(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.0, (2, 2): 1.0}
-        )
-        assert (report.integral, report.loads, report.penalty) == (False, None, 0.0)
-        assert report.objective == report.expected_rejections == pytest.approx(1 / 3)
+        for values, pair in [
+            ((0.5, 0.5, 0.0, 1.0), "x[1, 1] = 0.5"),
+            ((1.0, 0.0, 0.0, math.nan), "x[2, 2] = nan"),
+        ]:
+            answer = lp_module.LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
+            monkeypatch.setattr(lp_module, "solve_lp", lambda lp: answer)
+            message = f"hard relaxation answer is not integral: {pair}"
+            with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
+                solve_hard_lp(inst, 1)
 
 
 def warm_start_cases() -> list[tuple[str, Instance, int]]:
@@ -682,7 +683,7 @@ class TestAssignmentForm:
         infeasible = 0
         for source, inst in self.cases():
             for b in (1, 2, 3, 5):
-                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)
+                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)[0]
                 assert form.start is not None
                 reference = lp_module._solver_form(_reference_assignment_lp(inst, b, lam))
                 assert_same_form(form, reference, (source, b))
