@@ -123,8 +123,8 @@ def main() -> None:
 
 
 def run_cli(argv: list[str]) -> int:
-    # numpy loads later, on the LP routes only.  HiGHS never calls BLAS and
-    # the certificate avoids it, so OpenBLAS's thread pool would only add to
+    # numpy loads later, on the LP routes only.  The certificate avoids BLAS,
+    # so OpenBLAS's thread pool would only add to
     # numpy's import (0.15 s against 0.09 s on a 2-vCPU machine).  A value
     # the caller set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -136,8 +136,8 @@ def run_cli(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
-        # Input errors are ValueErrors; the oracle's enumeration cap and a
-        # failed or untrusted LP backend answer are RuntimeErrors.
+        # Input errors are ValueErrors; the oracle's enumeration cap and an
+        # LP route answer that fails its check are RuntimeErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -27,8 +27,11 @@ soft penalty's two slopes are two kinds of slot per author: the first ``b``
 weigh ``p_j`` and the rest ``p_j + lam`` (in :func:`build_soft_network`, a
 free source edge up to ``b`` and one costing ``lam`` beyond), so the same
 greedy gives the exact soft optimum.
-:func:`_slot_basis` extends the greedy's answer to an optimal basis of the
-LP relaxations, which the LP builders hand to HiGHS as its start.
+:func:`_slot_prices` prices each author at the cheapest absorber it can
+pass a paper on to; those prices are the duals with which the LP routes
+certify the greedy's answer as their relaxation's optimal vertex.  When a
+hard cap leaves a paper unassigned, :func:`_hall_set` collects the papers
+and authors that prove no assignment fits.
 """
 
 from __future__ import annotations
@@ -252,8 +255,8 @@ def _slot_greedy(
     slot takes papers while an augmenting search from its author succeeds.
     Returns each author's papers, the slots as ``(exact weight, author,
     whether it is the lam slot)`` in ascending weight, and each paper's
-    holder, which is ``None`` if some paper stays unassigned.  ``b`` and
-    ``lam`` must already be resolved and the instance valid.
+    holder, ``-1`` for a paper left unassigned.  ``b`` and ``lam`` must
+    already be resolved and the instance valid.
 
     The search checks each author for an unassigned paper as it reaches it.
     Authors are scanned in the order reached, so this stops at the author,
@@ -323,70 +326,59 @@ def _slot_greedy(
                 holder[paper] = end
             room -= 1
             assigned += 1
-    return papers_of, slots, holder if assigned == n else None
+    return papers_of, slots, holder
 
 
 def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignment | None:
     """The author-slot greedy's nominees; ``None`` if no assignment fits."""
     holder = _slot_greedy(instance, b, lam)[2]
-    if holder is None:
+    if -1 in holder:
         return None
     return Assignment(nominee=tuple(author + 1 for author in holder))
 
 
-def _slot_basis(
+def _slot_prices(
     instance: Instance, b: int, lam: float | None
-) -> tuple[list[int], dict[int, tuple[int, int] | None]] | None:
-    """The greedy's answer and an optimal basis of the LP relaxation around it.
+) -> tuple[list[int], list[int] | None]:
+    """Each paper's holder and each author's exact price ``c_j`` (0-based, see :func:`_exact`).
 
-    Returns each paper's holder and the authors whose row is held tight, all
-    0-based; ``None`` if no assignment fits.  A tight author maps to the
-    ``(paper, author)`` pair that is basic at 0 in place of its slack, or to
-    ``None`` when its overload variable ``y_j`` is basic.  Every other author
-    keeps its slack basic, and every assigned pair is basic at 1.
-
-    The basis prices each author at ``c_j``: each paper at its holder's
-    price and each author's cap at ``c_j - p_j``, so pair ``(i, k)`` has
-    reduced cost ``c_k - c_holder(i)``.  ``c_j`` is the cheapest absorber
-    that ``j`` can pass a paper on to, through the holder of a paper passing
-    it to another author on that paper, and on.  An author below ``b``
-    absorbs at ``p_k``, and in the soft variant any author at ``p_k + lam``.
-    Absorbers are taken in slot order, and a reverse search from each claims
-    the unpriced authors at ``b`` that reach it, each held tight by the pair
-    it would pass along.  The greedy's answer is optimal, so no exchange
+    The prices are ``None`` when a paper stays unassigned (holder ``-1``).
+    ``c_j`` is the cheapest absorber that ``j`` can pass a paper on to,
+    through the holder of a paper passing it to another author on that
+    paper, and on.  An author below ``b`` absorbs at ``p_k``, and in the
+    soft variant any author at ``p_k + lam``.  Absorbers are taken in slot
+    order, and a reverse search from each claims the unpriced authors at
+    ``b`` that reach it.  Pricing each paper at its holder's price and each
+    author's cap at ``p_j - c_j`` makes them duals of the LP relaxation in
+    which pair ``(i, k)`` has reduced cost ``c_k - c_holder(i)`` and ``y_j``
+    has ``lam + p_j - c_j``.  The greedy's answer is optimal, so no exchange
     path gains (it costs ``p_end - p_start``), and every reduced cost is
     nonnegative.  Hard-variant authors that reach no absorber form closed
-    sets, priced by :func:`_price_closed_sets`.  Each author's entry joins it
-    to an author priced before it, so the basic pairs form a spanning forest
-    and the basis is nonsingular (Ahuja, Magnanti & Orlin 1993, ch. 11).
+    sets, priced by :func:`_price_closed_sets`.
     """
     papers_of, slots, holder = _slot_greedy(instance, b, lam)
-    if holder is None:
-        return None
+    if -1 in holder:
+        return holder, None
     load = [0] * instance.m
     for author in holder:
         load[author] += 1
     price: list[int | None] = [None] * instance.m
-    tight: dict[int, tuple[int, int] | None] = {}
     for weight, root, over in slots:
         # A free slot absorbs for an author below b, a lam slot for one at or
         # above b that no cheaper absorber has claimed.
         if price[root] is not None or (load[root] < b) == over:
             continue
         price[root] = weight
-        if over:
-            tight[root] = None
         queue = [root]
         for k in queue:
             for paper in papers_of[k]:
                 j = holder[paper]
                 if price[j] is None and load[j] == b:
                     price[j] = weight
-                    tight[j] = (paper, k)
                     queue.append(j)
     if None in price:
-        _price_closed_sets(instance, papers_of, holder, slots, price, tight)
-    return holder, tight
+        _price_closed_sets(instance, papers_of, holder, slots, price)
+    return holder, price
 
 
 def _price_closed_sets(
@@ -395,38 +387,35 @@ def _price_closed_sets(
     holder: list[int],
     slots: list[tuple[int, int, bool]],
     price: list[int | None],
-    tight: dict[int, tuple[int, int] | None],
 ) -> None:
     """Price the hard variant's authors that reach no absorber, in place.
 
     Nothing here can pass a paper on to a priced author, or it would have
     been claimed.  Author ``k`` takes ``c_k = max(p_k, c_j of every author j
     that can pass k a paper)``, which keeps every reduced cost and ``c_k -
-    p_k`` nonnegative.  Seeds offer ``k`` its own ``p_k`` (its slack stays
-    basic) or a priced author's ``c_j`` (through that pair); they are taken
-    from the highest down, and each author priced passes its price forward
-    to every unpriced author it can pass a paper to.
+    p_k`` nonnegative.  Seeds offer ``k`` its own ``p_k`` or a priced
+    author's ``c_j``; they are taken from the highest down, and each author
+    priced passes its price forward to every unpriced author it can pass a
+    paper to.
     """
     rows = instance.rows
-    seeds: list[tuple[int, int, tuple[int, int] | None]] = []
+    seeds: list[tuple[int, int]] = []
     held: list[list[int]] = [[] for _ in range(instance.m)]
     for weight, k, _ in slots:
         if price[k] is None:
-            seeds.append((weight, k, None))
+            seeds.append((weight, k))
             for paper in papers_of[k]:
                 j = holder[paper]
                 if price[j] is not None:
-                    seeds.append((price[j], k, (paper, k)))
+                    seeds.append((price[j], k))
     for paper, author in enumerate(holder):
         if price[author] is None:
             held[author].append(paper)
     seeds.sort(key=itemgetter(0), reverse=True)
-    for value, start, pair in seeds:
+    for value, start in seeds:
         if price[start] is not None:
             continue
         price[start] = value
-        if pair is not None:
-            tight[start] = pair
         queue = [start]
         for k in queue:
             for paper in held[k]:
@@ -434,8 +423,28 @@ def _price_closed_sets(
                     j -= 1
                     if price[j] is None:
                         price[j] = value
-                        tight[j] = (paper, j)
                         queue.append(j)
+
+
+def _hall_set(instance: Instance, holder: list[int]) -> tuple[list[int], set[int]]:
+    """Papers ``S`` and authors ``A``, 0-based, reached from the first unassigned paper.
+
+    Each paper in ``S`` adds its authors to ``A``, and each author added
+    brings the papers it holds.  The hard greedy left every author reached
+    at ``b``, so ``|S| = b * |A| + 1`` and Hall's condition fails (Hall 1935).
+    """
+    held: list[list[int]] = [[] for _ in range(instance.m)]
+    for paper, author in enumerate(holder):
+        if author >= 0:
+            held[author].append(paper)
+    rows = instance.rows
+    papers, authors = [holder.index(-1)], set()
+    for paper in papers:
+        for j in rows[paper]:
+            if j - 1 not in authors:
+                authors.add(j - 1)
+                papers.extend(held[j - 1])
+    return papers, authors
 
 
 def solve_hard(

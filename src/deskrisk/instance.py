@@ -220,10 +220,10 @@ def _find_violations(instance: Instance) -> list[str]:
     for pair in instance.authorship:
         i, j = pair
         if not type(i) is int is type(j):
-            violations.append(f"authorship pair ({i!r}, {j!r}) must hold integers")
+            violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) must hold integers")
             continue
         if not (1 <= i <= n) or not (1 <= j <= m):
-            violations.append(f"authorship pair ({i}, {j}) out of range")
+            violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) out of range")
             continue
         if pair == previous:
             violations.append(f"duplicate authorship pair ({i}, {j})")
@@ -233,13 +233,13 @@ def _find_violations(instance: Instance) -> list[str]:
         if not ok:
             violations.append(f"paper {i} has no authors")
     if len(instance.p) != instance.m:
-        violations.append(f"p has length {len(instance.p)}, expected m={instance.m}")
+        violations.append(f"p has length {len(instance.p)}, expected m={_shown(instance.m)}")
     for j, pj in enumerate(instance.p, start=1):
         # An int here is one too large for a float.
         if isinstance(pj, bool) or not isinstance(pj, (float, int)):
             violations.append(f"p_{j} must be a number, got {pj!r}")
         elif not (0.0 <= pj <= 1.0):
-            violations.append(f"p_{j} out of [0,1]: {pj}")
+            violations.append(f"p_{j} out of [0,1]: {_shown(pj)}")
     limit_problem = "" if instance.b is None else _limit_problem(instance.b)
     if limit_problem:
         violations.append(limit_problem)
@@ -252,7 +252,7 @@ def _find_violations(instance: Instance) -> list[str]:
 def _count_problem(name: str, count: object) -> str:
     """Why ``count`` is not a positive integer (a bool is not one); "" if it is one."""
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-        return f"{name} must be a positive integer, got {count!r}"
+        return f"{name} must be a positive integer, got {_shown(count)}"
     return ""
 
 
@@ -261,7 +261,7 @@ def _limit_problem(b: object) -> str:
     if b is not None and (isinstance(b, bool) or not isinstance(b, int)):
         return f"b must be an integer, got {b!r}"
     if b is None or b < 1:
-        return f"b must be >= 1, got {b}"
+        return f"b must be >= 1, got {_shown(b)}"
     return ""
 
 
@@ -273,8 +273,17 @@ def _lambda_problem(lam: object) -> str:
     if isinstance(lam, bool) or not isinstance(lam, (float, int, type(None))):
         return f"lambda must be a number, got {lam!r}"
     if lam is None or not 0.0 < lam <= sys.float_info.max:
-        return f"lambda must be > 0 and finite, got {lam}"
+        return f"lambda must be > 0 and finite, got {_shown(lam)}"
     return ""
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or an int too long to print (4300 digits by default) by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        assert isinstance(value, int)
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def require_valid(instance: Instance) -> None:

@@ -1,60 +1,44 @@
-"""The LP relaxations of the hard and soft variants, and the solver behind them.
+"""The LP relaxations of the hard and soft variants, their routes, and a solver for them.
 
 :func:`build_hard_lp` relaxes the hard cap: a weight in ``[0, 1]`` per
 incident pair, an equality row per paper and a ``<=`` row per author.
 :func:`build_soft_lp` linearizes the soft penalty through an epigraph: per
 author an overload variable ``y_j >= load_j - b``, ``y_j >= 0``, charged
-``lam``, which any optimum pins to ``max(0, load_j - b)``
-(:func:`solve_soft_relaxed` checks this).  Both programs are totally
-unimodular: the paper and author rows form a bipartite incidence matrix, and
-each ``y_j`` adds a unit column.  So every vertex is integral, and
-:func:`round_soft`'s per-paper argmax loses nothing on one; a ``gap > 0``
-in :func:`solve_soft`'s report can only come from an answer that is not a
-vertex, which the exact solvers of :mod:`.flow` would show.
+``lam``, which any optimum pins to ``max(0, load_j - b)``.  Both programs
+are totally unimodular: the paper and author rows form a bipartite
+incidence matrix, and each ``y_j`` adds a unit column.  So every vertex is
+integral, and :func:`round_soft`'s per-paper argmax loses nothing on one; a
+``gap > 0`` in :func:`solve_soft`'s report can only come from an answer
+that is not a vertex.
 
-The solve itself is delegated to HiGHS (Huangfu & Hall 2018) through the
-binding that scipy ships in ``scipy/optimize/_highspy``; what this module owns
-is the sparse problem description, the translation to solver form, and an
-independent certification pass, :func:`_certify`.  It re-checks every
-reported optimum in ``O(nnz)`` with numpy alone: primal feasibility within
-1e-9, and dual feasibility and the duality gap within 1e-7.  A point that
-fails any check, or whose residual or gap is NaN, comes back with an Error
-status rather than being trusted.
+The routes (:func:`solve_hard_lp`, :func:`solve_soft_relaxed`,
+:func:`solve_soft`) call no LP solver.  The optimal vertex is the exact
+core's answer: ``x`` is 1 on each paper's holder and ``y_j = max(0, load_j
+- b)``.  The core's prices ``c_j`` (:func:`.flow._slot_prices`) give its
+duals: author row ``p_j - c_j``, paper row ``c_holder(i)``, reduced costs
+``c - A'y``.  A route answers only if :func:`_certify`, which trusts no
+solver, accepts them on the route's own program in ``O(nnz)``: primal
+feasibility within 1e-9, dual feasibility and the duality gap within 1e-7.
+An Infeasible answer needs a Hall set (Hall 1935), the LP's Farkas proof
+(Ahuja, Magnanti & Orlin 1993, ch. 11), to pass :func:`_hall_fault`.
+Either check failing raises ``RuntimeError``.
 
-The backend is HiGHS's dual simplex with devex pricing (Harris 1973; Huangfu
-& Hall 2018), a fixed setting like the tolerances.  The assignment programs
-built here are degenerate transportation LPs, and on them HiGHS's default
-dual steepest-edge pricing takes 2-8x more iterations; devex also beats the
-interior-point method and Dantzig pricing.  A simplex answer is a vertex.
-
-The builders start HiGHS at the optimal basis that :func:`.flow._slot_basis`
-builds around the exact core's answer (Bixby 1992 on initial bases; see
-there why it is a nonsingular, primal and dual feasible basis).  So HiGHS
-only confirms it, in 0 iterations on every feasible program, and the LP
-routes report the core's vertex.  :func:`solve_hard_lp` answers with that
-vertex's assignment; a certified answer that is not integral raises, as a
-failed certificate does.  A core answer that was not optimal would
-give a basis that is not dual feasible, and HiGHS would leave it, by pivots
-or by moving a pair to its upper bound (which counts as no iteration); the
-certificate trusts nothing from the start.  When no assignment meets the
-hard cap, the start is the optimal basis of the uncapped program (``b =
-n``): the cap is only a right-hand side, on which a basis's reduced costs
-do not depend, so dual simplex works from it to a proof of infeasibility.
-With a basis set, HiGHS skips presolve.  A :class:`LinearProgram` without a
-start solves from the slack basis.
-
-HiGHS gets the program as arrays, in one call to the binding's array
-``passModel``: rowwise, the ``<=`` rows first (a ``>=`` row negated), then
-the equality rows, in the program's order (scipy's own; the row order
-steers the pivots), and an integrality array of zeros (an empty one is
-refused).  :func:`_assignment_form` builds both relaxations so, from the
-instance; a :class:`LinearProgram` is built only for ``--dump-lp``,
-:func:`solve_lp` callers and ``perfbench/tracing.py``.  Importing
+:func:`solve_lp` solves any :class:`LinearProgram`, or a program already in
+solver form, with HiGHS (Huangfu & Hall 2018) through the binding that
+scipy ships in ``scipy/optimize/_highspy``, from the slack basis, and
+certifies HiGHS's answer with the same :func:`_certify`.  The backend is
+dual simplex with devex pricing (Harris 1973), a fixed setting like the
+tolerances: on these degenerate transportation LPs HiGHS's default dual
+steepest-edge pricing takes 2-8x more iterations.  HiGHS gets the program
+as arrays, in one call to the binding's array ``passModel``: rowwise, the
+``<=`` rows first (a ``>=`` row negated), then the equality rows, in the
+program's order (scipy's own; the row order steers the pivots), and an
+integrality array of zeros (an empty one is refused).  Importing
 ``scipy.optimize`` takes most of a second, so the binding is loaded on its
 own, once per process, and reused if ``scipy.optimize`` already loaded it.
 numpy is imported inside the functions that use it, so ``import deskrisk``
 and the greedy, flow, oracle and validate paths load neither numpy nor the
-binding; a pure-Python form and certificate were 30-50% slower.
+binding, and the routes load numpy alone.
 """
 
 from __future__ import annotations
@@ -69,7 +53,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 
-from .flow import _slot_basis
+from .flow import _hall_set, _slot_prices
 from .instance import (
     Assignment,
     FractionalSolution,
@@ -86,9 +70,7 @@ if TYPE_CHECKING:
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
-# A pair weight this close to 0 or 1 counts as integral.
-INTEGRALITY_TOL = 1e-9
-EQUIVALENCE_TOL = 1e-7
+_PRICE_SCALE = 1 << 1074  # flow._exact's scale
 
 Sense = Literal["<=", ">="]
 SparseRow = list[tuple[int, float]]
@@ -123,29 +105,12 @@ _STATUSES = {
 }
 
 
-class LpStart(NamedTuple):
-    """A starting basis for the simplex method.
-
-    ``basic`` lists the basic variables and ``tight`` the ``"<="`` rows, by
-    index into :attr:`LinearProgram.ineq_rows`, held at their right-hand side.
-    Every other inequality row keeps its slack basic, every equality row is
-    held at its right-hand side, and every nonbasic variable sits at its lower
-    bound.  A basis has one basic entry per row, so ``basic`` holds one
-    variable per equality row and per tight row.
-    """
-
-    basic: tuple[int, ...]
-    tight: tuple[int, ...] = ()
-
-
 @dataclass
 class LinearProgram:
     """Minimization problem over box-bounded variables with sparse rows.
 
     ``upper[k] is None`` means variable ``k`` is unbounded above.  Rows hold
     ``(variable, coefficient)`` pairs; senses are ``"<="`` or ``">="``.
-    ``start`` is an optional basis to start the solver from; it changes how
-    the optimum is reached, not which program is solved.
     """
 
     num_vars: int
@@ -154,7 +119,6 @@ class LinearProgram:
     upper: list[float | None]
     eq_rows: list[tuple[SparseRow, float]] = field(default_factory=list)
     ineq_rows: list[tuple[SparseRow, float, Sense]] = field(default_factory=list)
-    start: LpStart | None = None
 
     @classmethod
     def minimize(cls, objective: list[float]) -> "LinearProgram":
@@ -169,7 +133,7 @@ class LinearProgram:
         self.ineq_rows.append((row, rhs, sense))
 
     def check(self) -> None:
-        """Raise ``ValueError`` naming the first malformed variable, row or start entry."""
+        """Raise ``ValueError`` naming the first malformed variable or row."""
         _solver_form(self)
 
 
@@ -196,8 +160,7 @@ class _SolverForm(NamedTuple):
     negated so that every one reads ``a @ x <= row_upper`` with
     ``row_lower = -inf``; the equality rows follow with
     ``row_lower == row_upper``.  ``row``, ``col`` and ``value`` hold the
-    nonzeros row by row.  ``basic_cols`` and ``basic_rows`` mark the basis
-    that ``start`` states, and all three are ``None`` without a start.
+    nonzeros row by row.
     """
 
     c: np.ndarray
@@ -209,18 +172,15 @@ class _SolverForm(NamedTuple):
     row: np.ndarray
     col: np.ndarray
     value: np.ndarray
-    basic_cols: np.ndarray | None = None
-    basic_rows: np.ndarray | None = None
-    start: LpStart | None = None
 
 
 @dataclass
-class _HighsAnswer:
-    """What HiGHS returned, before any check.
+class _Answer:
+    """A claimed answer, HiGHS's or a route's own, before any check.
 
-    ``status`` is HiGHS's own verdict: Optimal means claimed, not certified.
-    The vectors are present only with that verdict: ``x`` is the column
-    values, ``row_dual`` the row duals and ``col_dual`` the reduced costs.
+    ``status`` is the claim: Optimal means claimed, not certified.  The
+    vectors are present only with that claim: ``x`` is the column values,
+    ``row_dual`` the row duals and ``col_dual`` the reduced costs.
     """
 
     status: LpStatus
@@ -238,9 +198,7 @@ def _solver_form(lp: LinearProgram) -> _SolverForm:
     Raises ``ValueError`` naming the first fault: variables are checked before
     rows, equality rows before inequality rows, and each inequality row's
     variables before its sense, in the order the program stores them.  Row
-    coefficients and right-hand sides must be finite.  The start, checked
-    last, must name distinct variables and distinct ``"<="`` rows, and one
-    basic variable per equality and tight row.
+    coefficients and right-hand sides must be finite.
     """
     import numpy as np
 
@@ -294,29 +252,7 @@ def _solver_form(lp: LinearProgram) -> _SolverForm:
     row_upper = rhs * sign
     row_lower = row_upper.copy()
     row_lower[:num_ineq] = -math.inf
-    form = _SolverForm(c, lower, upper, row_lower, row_upper, num_ineq, row, col, value)
-    if lp.start is None:
-        return form
-    basic, tight = lp.start
-    want = len(lp.eq_rows) + len(tight)
-    if len(basic) != want:
-        raise ValueError(f"start has {len(basic)} basic variables, expected {want}")
-    basic_cols = np.zeros(n, dtype=bool)
-    for k in basic:
-        if not (isinstance(k, int) and 0 <= k < n):
-            raise ValueError(f"start names variable {k!r}, have {n}")
-        if basic_cols[k]:
-            raise ValueError(f"start names variable {k} twice")
-        basic_cols[k] = True
-    basic_rows = np.zeros(len(rows), dtype=bool)
-    basic_rows[:num_ineq] = True
-    for r in tight:
-        if not (isinstance(r, int) and 0 <= r < num_ineq and senses[r] == "<="):
-            raise ValueError(f"start holds row {r!r} tight, which is not a '<=' row")
-        if not basic_rows[r]:
-            raise ValueError(f"start holds row {r} tight twice")
-        basic_rows[r] = False
-    return form._replace(basic_cols=basic_cols, basic_rows=basic_rows, start=lp.start)
+    return _SolverForm(c, lower, upper, row_lower, row_upper, num_ineq, row, col, value)
 
 
 def _binding_path() -> str:
@@ -326,7 +262,7 @@ def _binding_path() -> str:
 
     spec = find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
-        raise RuntimeError("the LP routes need scipy's HiGHS binding, and scipy is not installed")
+        raise RuntimeError("solve_lp needs scipy's HiGHS binding, and scipy is not installed")
     stem = os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy", "_core")
     paths = [stem + suffix for suffix in EXTENSION_SUFFIXES]
     return next((path for path in paths if os.path.isfile(path)), paths[0])
@@ -357,7 +293,7 @@ def _binding() -> Any:
     return core
 
 
-def _run_highs(form: _SolverForm) -> _HighsAnswer:
+def _run_highs(form: _SolverForm) -> _Answer:
     """Run HiGHS on ``form`` and return its raw answer."""
     import numpy as np
 
@@ -376,14 +312,11 @@ def _run_highs(form: _SolverForm) -> _HighsAnswer:
         np.zeros(num_cols, dtype=np.int32),
     )
     if passed == core.HighsStatus.kError:
-        return _HighsAnswer(LpStatus.ERROR, "HiGHS rejected the model", None)
-    started = form.basic_cols is not None
-    if started and highs.setBasis(_basis(core, form)) == core.HighsStatus.kError:
-        return _HighsAnswer(LpStatus.ERROR, "HiGHS rejected the starting basis", None)
+        return _Answer(LpStatus.ERROR, "HiGHS rejected the model", None)
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
-    answer = _HighsAnswer(
+    answer = _Answer(
         _STATUSES.get(status.name, LpStatus.ERROR),
         f"HiGHS model status: {highs.modelStatusToString(status)}",
         info.simplex_iteration_count,
@@ -395,21 +328,6 @@ def _run_highs(form: _SolverForm) -> _HighsAnswer:
         answer.row_dual = np.array(solution.row_dual)
         answer.col_dual = np.array(solution.col_dual)
     return answer
-
-
-def _basis(core: Any, form: _SolverForm) -> Any:
-    """The start of ``form`` as a HiGHS basis.
-
-    Nonbasic variables sit at their lower bound and nonbasic rows at their
-    upper bound, the right-hand side of an equality or ``<=`` row.  ``alien``
-    off makes HiGHS take the basis as given rather than repair it.
-    """
-    status = core.HighsBasisStatus
-    basis = core.HighsBasis()
-    basis.col_status = form.basic_cols.choose([status.kLower, status.kBasic]).tolist()
-    basis.row_status = form.basic_rows.choose([status.kUpper, status.kBasic]).tolist()
-    basis.alien = False
-    return basis
 
 
 def solve_lp(lp: LinearProgram | _SolverForm) -> LpSolution:
@@ -429,7 +347,7 @@ def solve_lp(lp: LinearProgram | _SolverForm) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, values, objective, gap, iterations=answer.iterations)
 
 
-def _certify(form: _SolverForm, answer: _HighsAnswer) -> tuple[str, float]:
+def _certify(form: _SolverForm, answer: _Answer) -> tuple[str, float]:
     """Check a claimed optimum without trusting the solver: ``(fault or "", gap)``.
 
     ``x`` must meet every row and bound within ``FEASIBILITY_TOL``.  Each row
@@ -477,11 +395,17 @@ def _certify(form: _SolverForm, answer: _HighsAnswer) -> tuple[str, float]:
     gap = abs(float(answer.objective) - dual)
     if not gap <= tol:
         return f"duality gap {gap:.3e} exceeds {tol:.1e}", gap
-    reduced = form.c - np.bincount(form.col, form.value * y[form.row], minlength=len(form.c))
-    worst = float(np.max(np.abs(reduced - z), initial=0.0))
+    worst = float(np.max(np.abs(_reduced(form, y) - z), initial=0.0))
     if not worst <= tol:
         return f"reduced-cost residual {worst:.3e} exceeds {tol:.1e}", gap
     return "", gap
+
+
+def _reduced(form: _SolverForm, row_dual: np.ndarray) -> np.ndarray:
+    """The reduced costs ``c - A'y`` of ``form`` at the row duals ``y``."""
+    import numpy as np
+
+    return form.c - np.bincount(form.col, form.value * row_dual[form.row], minlength=len(form.c))
 
 
 def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +420,7 @@ def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 def _assignment_form(
     instance: Instance, b: int | None, lam: float | None, soft: bool
 ) -> tuple[_SolverForm, tuple[np.ndarray, np.ndarray]]:
-    """The hard or (``soft``) soft relaxation in solver form, started at :func:`.flow._slot_basis`.
+    """The hard or (``soft``) soft relaxation in solver form, built from the instance.
 
     Variable ``k`` is the ``k``-th sorted pair, at its author's ``p``; the
     soft program's ``nnz + j`` is ``y_j`` (0-based).  Author rows come
@@ -526,19 +450,57 @@ def _assignment_form(
     row = np.repeat(np.arange(m + n), np.concatenate((counts, lengths)))
     row_upper = np.concatenate((np.full(m, float(b)), np.ones(n)))
     row_lower = np.concatenate((np.full(m, -math.inf), np.ones(n)))
+    form = _SolverForm(c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
+    return form, (author, lengths)
 
-    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, n, None)
-    basic = np.flatnonzero(author == np.repeat(holder, lengths)).tolist()
-    first, rows = (np.cumsum(lengths) - lengths).tolist(), instance.rows
-    for j, pair in tight.items():
-        basic.append(nnz + j if pair is None else first[pair[0]] + rows[pair[0]].index(pair[1] + 1))
-    basic_cols = np.zeros(len(c), dtype=bool)
-    basic_cols[basic] = True
-    basic_rows = np.arange(m + n) < m
-    basic_rows[list(tight)] = False
-    form = (c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
-    start = LpStart(tuple(basic), tuple(tight))
-    return _SolverForm(*form, basic_cols, basic_rows, start), (author, lengths)
+
+def _certified_vertex(
+    instance: Instance, b: int | None, lam: float | None, soft: bool
+) -> tuple[np.ndarray, _SolverForm, tuple[np.ndarray, np.ndarray]] | None:
+    """The core's vertex in :func:`_assignment_form`'s variable order, the form and its pairs.
+
+    ``None`` for a hard program whose Hall set passed its check.  Raises
+    ``RuntimeError`` when a check fails (see the module docstring).
+    """
+    import numpy as np
+
+    require_valid(instance)
+    b, lam = resolve_limits(instance, b, lam, soft=soft)
+    holder, price = _slot_prices(instance, b, lam)
+    if price is None:
+        fault = _hall_fault(instance, b, *_hall_set(instance, holder))
+        if fault:
+            raise RuntimeError(f"hard relaxation Hall set failed its check: {fault}")
+        return None
+    form, (author, lengths) = _assignment_form(instance, b, lam, soft)
+    held = np.asarray(holder)
+    x = (author == np.repeat(held, lengths)).astype(float)
+    if soft:
+        x = np.concatenate((x, np.maximum(np.bincount(held, minlength=instance.m) - b, 0)))
+    cost = np.array([value / _PRICE_SCALE for value in price])
+    row_dual = np.concatenate((np.asarray(instance.p) - cost, cost[held]))
+    objective = float(np.sum(form.c * x))
+    answer = _Answer(LpStatus.OPTIMAL, "", 0, objective, x, row_dual, _reduced(form, row_dual))
+    fault = _certify(form, answer)[0]
+    if fault:
+        raise RuntimeError(f"{'soft' if soft else 'hard'} relaxation failed its certificate: {fault}")
+    return x, form, (author, lengths)
+
+
+def _hall_fault(instance: Instance, b: int, papers: list[int], authors: set[int]) -> str:
+    """Why papers ``S`` and authors ``A`` (0-based) do not prove that nothing fits; "" if they do.
+
+    Every author of a paper in ``S`` must be in ``A``, and ``|S| > b * |A|``:
+    then ``S`` needs more nominations than ``A`` may take, even fractionally.
+    """
+    rows = instance.rows
+    distinct = set(papers)
+    outside = {j - 1 for i in distinct for j in rows[i]} - authors
+    if outside:
+        return f"author {min(outside) + 1} is on a paper of the set but not in it"
+    if not len(distinct) > b * len(authors):
+        return f"{len(distinct)} papers fit {len(authors)} authors at b = {b}"
+    return ""
 
 
 def _assignment_lp(
@@ -550,7 +512,7 @@ def _assignment_lp(
     form = _assignment_form(instance, b, lam, soft)[0]
     nnz, m = instance.nnz, instance.m
     upper = [None if up == math.inf else up for up in form.upper.tolist()]
-    lp = LinearProgram(len(form.c), form.c.tolist(), form.lower.tolist(), upper, start=form.start)
+    lp = LinearProgram(len(form.c), form.c.tolist(), form.lower.tolist(), upper)
     entries = list(zip(form.col.tolist(), form.value.tolist()))
     ends = np.cumsum(np.bincount(form.row, minlength=len(form.row_upper))).tolist()
     rows = [entries[start:end] for start, end in zip([0, *ends], ends)]
@@ -568,10 +530,6 @@ def build_hard_lp(
     One variable per authorship pair (pairs absent from the incidence are
     fixed at zero and never materialized), one equality row per paper, one
     ``<=`` row per author.  Returns the program and the pair-to-variable map.
-    The program starts at the optimal basis around the exact core's answer,
-    or around the uncapped answer when no assignment meets the cap (see the
-    module docstring); a caller that adds an equality row must reset
-    ``start``.
     """
     return _assignment_lp(instance, b, None, soft=False)[:2]
 
@@ -582,7 +540,7 @@ def build_soft_lp(
     """Epigraph program: the hard relaxation plus an overload variable per author.
 
     Returns the program, the pair-to-variable map, and the author-to-overload
-    variable map.  As in :func:`build_hard_lp`, the program carries a start.
+    variable map.
     """
     return _assignment_lp(instance, b, lam, soft=True)
 
@@ -593,24 +551,14 @@ def solve_hard_lp(
     """The assignment at the certified optimal vertex of :func:`build_hard_lp`'s relaxation.
 
     Its report is :func:`.instance.report_for`'s, marked ``integral``.
-    Returns ``(None, report)`` with an Infeasible status when no fractional
-    assignment meets the cap.  Raises ``RuntimeError`` when the backend fails
-    or its answer fails the certificate, and when a certified pair weight is
-    farther than ``INTEGRALITY_TOL`` from both 0 and 1, naming the first such
-    pair; the program is totally unimodular, so that means a non-vertex answer.
+    Returns ``(None, report)`` with an Infeasible status when a checked Hall
+    set shows that no fractional assignment meets the cap.  Raises
+    ``RuntimeError`` when the certificate or the Hall set fails its check.
     """
-    import numpy as np
-
-    form, (author, _) = _assignment_form(instance, b, None, soft=False)
-    solution = solve_lp(form)
-    if solution.status is LpStatus.INFEASIBLE:
+    vertex = _certified_vertex(instance, b, None, soft=False)
+    if vertex is None:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
-    x = _values(solution, "hard relaxation")
-    # Written so that a NaN weight fails the test too.
-    off = np.flatnonzero(~(np.minimum(x, np.abs(x - 1.0)) <= INTEGRALITY_TOL))
-    if off.size:
-        (i, j), value = instance.authorship[off[0]], float(x[off[0]])
-        raise RuntimeError(f"hard relaxation answer is not integral: x[{i}, {j}] = {value!r}")
+    x, _, (author, _) = vertex
     # Each paper's row sums to 1, so its one pair at 1 names its nominee.
     assignment = Assignment(nominee=tuple((author[x > 0.5] + 1).tolist()))
     return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
@@ -627,24 +575,16 @@ def _relax_soft(
     import numpy as np
 
     b, lam = resolve_limits(instance, b, lam, soft=True)
-    form, (author, lengths) = _assignment_form(instance, b, lam, soft=True)
+    values, form, pairs = _certified_vertex(instance, b, lam, soft=True)
     nnz = instance.nnz
-    x, y = np.split(_values(solve_lp(form), "soft relaxation"), [nnz])
+    x, y = np.split(values, [nnz])
     expected_rejections = float(np.cumsum(form.c[:nnz] * x)[-1])
-    over = np.maximum(0.0, np.bincount(author, weights=x, minlength=instance.m) - b)
-    wrong = np.flatnonzero(np.abs(y - over) > EQUIVALENCE_TOL)
-    if wrong.size:
-        j = int(wrong[0])
-        raise RuntimeError(
-            f"overload variable y_{j + 1}={float(y[j])!r} differs from"
-            f" max(0, load-b)={float(over[j])!r}"
-        )
     penalty = lam * sum(y.tolist())
     report = SolveReport(
         status=SolveStatus.OPTIMAL, objective=expected_rejections + penalty,
         expected_rejections=expected_rejections, penalty=penalty, loads=None, solver="soft-lp",
     )
-    return x, y, (author, lengths), report
+    return x, y, pairs, report
 
 
 def solve_soft_relaxed(
@@ -652,10 +592,7 @@ def solve_soft_relaxed(
 ) -> tuple[FractionalSolution, SolveReport]:
     """Certified optimum of :func:`build_soft_lp`'s epigraph relaxation.
 
-    The returned overload values are checked against ``max(0, load_j - b)``
-    recomputed from the fractional loads; disagreement beyond
-    ``EQUIVALENCE_TOL`` means the backend returned a non-optimal point and
-    raises instead of propagating a wrong bound.
+    The overload values are ``max(0, load_j - b)`` at the core's vertex.
     """
     x, y, _, report = _relax_soft(instance, b, lam)
     return FractionalSolution(dict(zip(instance.authorship, x.tolist())), tuple(y.tolist())), report
@@ -698,12 +635,3 @@ def solve_soft(
     bound, objective = relaxed_report.objective, report.objective
     report = replace(report, lp_bound=bound, rounded_objective=objective, gap=objective - bound)
     return assignment, report
-
-
-def _values(solution: LpSolution, name: str) -> np.ndarray:
-    """A certified answer's values; ``RuntimeError`` naming the program ``name`` otherwise."""
-    import numpy as np
-
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"{name} failed: {solution.status.value} {solution.message}")
-    return np.array(solution.values)

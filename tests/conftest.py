@@ -44,3 +44,15 @@ def edge_cases(rng: random.Random) -> list[tuple[Instance, int]]:
 def conference(seed: int) -> Instance:
     """The paper's size: 2000 papers, 500 authors, 3 to 7 authors per paper."""
     return generate(GeneratorSpec(n=2000, m=500, authors_min=3, authors_max=7, seed=seed))
+
+
+@functools.cache
+def sweep() -> Instance:
+    """The benchmark's sweep instance: 400 papers, 100 authors, seed 42."""
+    return generate(GeneratorSpec(n=400, m=100, authors_min=3, authors_max=7, seed=42))
+
+
+# The benchmark sweep's grid of limits: b = 2 and 3 leave the hard cap
+# infeasible, and b = 4 makes it tight.
+SWEEP_B = (2, 3, 4, 5, 6, 8)
+SWEEP_LAMBDA = (0.05, 0.2, 0.8)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,8 +9,6 @@ from conftest import FIXTURES
 
 from deskrisk import (
     Assignment,
-    LpSolution,
-    LpStatus,
     basic_objective,
     load_instance,
     soft_objective,
@@ -184,7 +183,7 @@ class TestImportBoundary:
             argv += ["-o", str(tmp_path / "report.json")]
         assert run_probe("deskrisk.cli", argv) == (0, [])
 
-    def test_lp_routes_load_the_highs_binding_not_scipy_optimize(self, tmp_path):
+    def test_lp_routes_load_numpy_not_the_highs_binding(self, tmp_path):
         watched = ["numpy", HIGHS_BINDING, "scipy.optimize._optimize", "scipy.linalg", "scipy.sparse"]
         for variant in (["hard", "--algorithm", "lp"], ["soft", "--algorithm", "lp-round"]):
             argv = ["solve", self.FRAC, "--b", "1", "--lambda", "0.5", "--variant", *variant,
@@ -196,7 +195,7 @@ class TestImportBoundary:
                 text=True,
             )
             assert result.returncode == 0, result.stderr
-            assert result.stderr.split() == ["0", "numpy", HIGHS_BINDING]
+            assert result.stderr.split() == ["0", "numpy"]
 
     @pytest.mark.parametrize(("given", "seen"), [(None, "1"), ("2", "2")])
     def test_lp_command_loads_numpy_with_one_blas_thread_unless_told(self, given, seen, tmp_path):
@@ -281,19 +280,22 @@ class TestSolveCommand:
         [["hard", "--algorithm", "lp"], ["soft", "--lambda", "0.5", "--algorithm", "lp-round"]],
         ids=["lp", "lp-round"],
     )
-    def test_missing_highs_binding_is_an_input_error(self, variant, monkeypatch, tmp_path, capsys):
+    def test_missing_highs_binding_leaves_the_lp_routes_working(
+        self, variant, monkeypatch, tmp_path, capsys
+    ):
         import deskrisk.lp
 
         missing = str(tmp_path / "_core.so")
         monkeypatch.delitem(sys.modules, HIGHS_BINDING, raising=False)
         monkeypatch.setattr(deskrisk.lp, "_binding_path", lambda: missing)
-        code = run_cli(["solve", str(FIXTURES / "frac_2x2.json"), "--b", "1", "--variant", *variant])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: scipy ")
-        assert captured.err.rstrip().endswith(f"has no HiGHS binding at {missing}")
-        assert "Traceback" not in captured.err
+        out = tmp_path / "report.json"
+        argv = ["solve", str(FIXTURES / "frac_2x2.json"), "--b", "1", "--variant", *variant]
+        assert run_cli(argv + ["-o", str(out)]) == 0
+        assert read_report(out)["status"] == "Optimal"
+        assert capsys.readouterr().err == ""
+        lp = deskrisk.lp.build_hard_lp(load_instance(FIXTURES / "frac_2x2.json"), 1)[0]
+        with pytest.raises(RuntimeError, match=f"has no HiGHS binding at {re.escape(missing)}$"):
+            deskrisk.lp.solve_lp(lp)
 
     def test_hard_lp_reports_one_third_and_integrality_flag(self, tmp_path):
         out = tmp_path / "report.json"
@@ -422,20 +424,19 @@ class TestSolveCommand:
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
-        failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
-        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: failed)
+        monkeypatch.setattr("deskrisk.lp._certify", lambda form, answer: ("numerical trouble", 0.0))
         code = run_cli(
             ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "soft", "--b", "1",
              "--lambda", "0.5", "--algorithm", "lp-round"]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "numerical trouble" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: soft relaxation failed its certificate: numerical trouble\n"
 
     @pytest.mark.parametrize("output", [False, True], ids=["stdout", "-o"])
     def test_hard_lp_backend_failure_is_an_error_exit(self, output, monkeypatch, tmp_path, capsys):
-        failed = LpSolution(status=LpStatus.ERROR, message="numerical trouble")
-        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: failed)
+        monkeypatch.setattr("deskrisk.lp._certify", lambda form, answer: ("numerical trouble", 0.0))
         out = tmp_path / "report.json"
         argv = ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard", "--b", "1",
                 "--algorithm", "lp"]
@@ -443,21 +444,7 @@ class TestSolveCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: hard relaxation failed: Error numerical trouble\n"
-        assert not out.exists()
-
-    def test_fractional_hard_lp_answer_is_an_error_exit(self, monkeypatch, tmp_path, capsys):
-        # frac_2x2's pairs (1, 1), (1, 2), (2, 1), (2, 2), at p = 1/6 each.
-        values = (0.5, 0.5, 0.0, 1.0)
-        answer = LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
-        monkeypatch.setattr("deskrisk.lp.solve_lp", lambda lp: answer)
-        out = tmp_path / "report.json"
-        code = run_cli(["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard",
-                        "--b", "1", "--algorithm", "lp", "-o", str(out)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: hard relaxation answer is not integral: x[1, 1] = 0.5\n"
+        assert captured.err == "error: hard relaxation failed its certificate: numerical trouble\n"
         assert not out.exists()
 
     def test_wrong_variant_algorithm_combo_is_an_input_error(self, capsys):

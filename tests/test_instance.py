@@ -157,6 +157,31 @@ class TestValidate:
         with pytest.raises(InvalidInstanceError, match="p_1 out of"):
             solve_hard(inst, b=1)
 
+    def test_huge_integers_are_named_by_their_size(self):
+        # Past 4300 digits an int refuses str() and repr(); 10**5000 has 16,610 bits.
+        huge, size = 10**5000, "integer of 16610 bits"
+        inst = Instance(n=1, m=1, authorship=((huge, 1), (1, 1)), p=(huge,), b=-huge, lam=huge)
+        assert validate(inst) == [
+            f"authorship pair (an {size}, 1) out of range",
+            f"p_1 out of [0,1]: an {size}",
+            f"b must be >= 1, got a negative {size}",
+            f"lambda must be > 0 and finite, got an {size}",
+        ]
+        inst = Instance(n=1, m=-huge, authorship=((1, 1),), p=(0.5,))
+        assert validate(inst) == [
+            f"m must be a positive integer, got a negative {size}",
+            "authorship pair (1, 1) out of range",
+            "paper 1 has no authors",
+            f"p has length 1, expected m=a negative {size}",
+        ]
+        inst = Instance.from_rows([[1]], p=[0.5])
+        for b, lam, message in (
+            (-huge, 1.0, f"nomination limit b must be >= 1, got a negative {size}"),
+            (1, huge, f"penalty weight lambda must be > 0 and finite, got an {size}"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                instance_module.resolve_limits(inst, b, lam, soft=True)
+
     def test_numpy_integer_counts_and_limit_are_ints(self):
         np = pytest.importorskip("numpy")
         one = np.int64(1)

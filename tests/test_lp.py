@@ -2,22 +2,19 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, conference, edge_cases, random_instance
+from conftest import FIXTURES, SWEEP_B, SWEEP_LAMBDA, conference, edge_cases, random_instance, sweep
 
 from deskrisk import (
     GeneratorSpec,
     Instance,
     LinearProgram,
-    LpStart,
     LpStatus,
     build_hard_lp,
     build_soft_lp,
     generate,
-    greedy_assign_basic,
     load_instance,
     oracle_hard,
     solve_hard,
@@ -25,9 +22,10 @@ from deskrisk import (
     solve_lp,
     solve_soft,
     solve_soft_exact,
+    solve_soft_relaxed,
 )
 from deskrisk import lp as lp_module
-from deskrisk.flow import _slot_basis
+from deskrisk.flow import _exact, _hall_set, _slot_prices
 
 
 class TestSolveLp:
@@ -373,19 +371,29 @@ def near_integer(value: float) -> bool:
     return abs(value - round(value)) <= 1e-9
 
 
+def refuse_highs(monkeypatch):
+    """Fail the test on any HiGHS run or load of its binding."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route called HiGHS")
+
+    monkeypatch.setattr(lp_module, "_run_highs", refuse)
+    monkeypatch.setattr(lp_module, "_binding", refuse)
+
+
 class TestAssignmentVertices:
     """Both relaxations are totally unimodular, so a simplex answer is an integral vertex."""
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
-    def test_conference_lps_certify_without_a_pivot(self, soft):
-        # Started at the exact core's optimal basis, HiGHS only confirms it.
-        # From the basic greedy's basis dual simplex took 3,753 (hard) and
-        # 544 (soft) iterations here, and from the slack basis 6,043 and 3,679.
-        inst = conference(42)
-        lp = build_soft_lp(inst, 5, 0.3)[0] if soft else build_hard_lp(inst, 5)[0]
-        solution = solve_lp(lp)
-        assert solution.status is LpStatus.OPTIMAL
-        assert solution.iterations == 0
+    def test_conference_lps_certify_without_a_pivot(self, soft, monkeypatch):
+        # The core's prices certify its own vertex, so no simplex runs.  From
+        # the slack basis dual simplex takes 6,043 (hard) and 3,679 (soft)
+        # iterations here.
+        inst, lam = conference(42), 0.3 if soft else None
+        refuse_highs(monkeypatch)
+        x, _, (author, _) = lp_module._certified_vertex(inst, 5, lam, soft)
+        core = solve_soft_exact(inst, 5, lam)[0] if soft else solve_hard(inst, 5)[0]
+        assert tuple((author[x[: inst.nnz] > 0.5] + 1).tolist()) == core.nominee
 
     def test_hard_vertex_is_integral_and_exact(self):
         for inst, b in exact_cases():
@@ -437,19 +445,25 @@ class TestSolveHardLp:
         assert rounded == exact
         assert math.isclose(report.lp_bound, exact_report.objective, rel_tol=1e-9)
 
-    def test_fractional_answer_raises_naming_its_first_pair(self, monkeypatch):
-        # The program is totally unimodular, so only a non-vertex answer is
-        # fractional.  frac_2x2's pairs are (1, 1), (1, 2), (2, 1), (2, 2).
+    @pytest.mark.parametrize(
+        ("route", "message"),
+        [
+            (lambda inst: solve_hard_lp(inst, 1), "hard relaxation"),
+            (lambda inst: solve_soft(inst, 1, 0.5), "soft relaxation"),
+        ],
+        ids=["hard", "soft"],
+    )
+    def test_prices_that_fail_the_certificate_raise(self, monkeypatch, route, message):
+        # With every price at 0, author 1's row dual is p_1 = 1/6 > 0 on a
+        # "<=" row, which prices its infinite lower side.
         inst = load_instance(FIXTURES / "frac_2x2.json")
-        for values, pair in [
-            ((0.5, 0.5, 0.0, 1.0), "x[1, 1] = 0.5"),
-            ((1.0, 0.0, 0.0, math.nan), "x[2, 2] = nan"),
-        ]:
-            answer = lp_module.LpSolution(status=LpStatus.OPTIMAL, values=values, objective=1 / 3)
-            monkeypatch.setattr(lp_module, "solve_lp", lambda lp: answer)
-            message = f"hard relaxation answer is not integral: {pair}"
-            with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
-                solve_hard_lp(inst, 1)
+        monkeypatch.setattr(
+            lp_module, "_slot_prices", lambda *args: (_slot_prices(*args)[0], [0] * inst.m)
+        )
+        fault = "inequality row 0 has dual 1.667e-01 on an infinite bound"
+        message = f"{message} failed its certificate: {fault}"
+        with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
+            route(inst)
 
 
 def warm_start_cases() -> list[tuple[str, Instance, int]]:
@@ -467,169 +481,144 @@ def warm_start_cases() -> list[tuple[str, Instance, int]]:
     ]
 
 
-class TestWarmStart:
-    """The assignment programs start at the exact core's optimal basis; the answer must not move.
+def cross_check_cases(soft: bool) -> list[tuple[str, Instance, int, float | None]]:
+    """(source, instance, b, lam): the fixtures and 200 random draws at b = 1, 2, 3 and 5,
+    and the benchmark's sweep grid; ``lam`` is ``None`` unless ``soft``."""
+    rng = random.Random(63)
+    cases = [(path.stem, load_instance(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    cases += [("random", random_instance(rng)) for _ in range(200)]
+    lams = SWEEP_LAMBDA if soft else (None,)
+    grid = [(source, inst, b, rng.choice(lams)) for source, inst in cases for b in (1, 2, 3, 5)]
+    return grid + [("sweep", sweep(), b, lam) for b in SWEEP_B for lam in lams]
 
-    A hard program the core finds infeasible starts at the optimal basis of
-    the uncapped program instead.
+
+class TestWarmStart:
+    """The routes start and stop at the exact core's vertex, which its prices certify.
+
+    Dual simplex from the slack basis must reach the same optimum, and a
+    hard program the core cannot fill must have a Hall set that proves it.
     """
 
     @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
     def test_start_changes_no_answer(self, soft):
-        rng = random.Random(63)
         statuses = set()
-        for source, inst, b in warm_start_cases():
-            lam = rng.choice([0.05, 0.3, 2.0])
-            lp = build_soft_lp(inst, b, lam)[0] if soft else build_hard_lp(inst, b)[0]
-            assert lp.start is not None
-            warm, cold = solve_lp(lp), solve_lp(replace(lp, start=None))
-            assert warm.status is cold.status, (source, b)
-            assert warm.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE), warm.message
-            statuses.add(warm.status)
-            if warm.status is LpStatus.OPTIMAL:
-                assert math.isclose(warm.objective, cold.objective, rel_tol=1e-9, abs_tol=1e-12)
+        for source, inst, b, lam in cross_check_cases(soft):
+            solution = solve_lp(lp_module._assignment_form(inst, b, lam, soft)[0])
+            if soft:
+                report = solve_soft_relaxed(inst, b, lam)[1]
+            else:
+                report = solve_hard_lp(inst, b)[1]
+            statuses.add(solution.status)
+            if report.objective is None:
+                assert solution.status is LpStatus.INFEASIBLE, (source, b)
+                continue
+            assert solution.status is LpStatus.OPTIMAL, (source, b, lam, solution.message)
+            assert abs(solution.objective - report.objective) <= lp_module.OPTIMALITY_TOL
         # Every soft program is feasible; some hard ones are not.
         assert statuses == ({LpStatus.OPTIMAL} if soft else {LpStatus.OPTIMAL, LpStatus.INFEASIBLE})
 
     @pytest.mark.parametrize("lam", [None, 5e-324, 0.05, 0.3, 2.5])
-    def test_every_feasible_program_certifies_without_a_pivot(self, lam):
-        # A core answer that is not optimal gives a basis that is not dual
-        # feasible.  HiGHS leaves it by pivots, or by moving a pair to its
-        # upper bound without an iteration, so the vertex is checked too.
+    def test_every_feasible_program_certifies_without_a_pivot(self, lam, monkeypatch):
+        # The routes raise unless the core's prices certify its vertex.  The
+        # soft bound adds the same terms in the same order as the exact
+        # route's objective, so the two are bit-identical.
+        refuse_highs(monkeypatch)
         for source, inst, b in warm_start_cases():
             if lam is None:
-                lp, pair_vars = build_hard_lp(inst, b)
-                assignment = solve_hard(inst, b)[0]
+                assignment, report = solve_hard_lp(inst, b)
+                assert assignment == solve_hard(inst, b)[0], (source, b)
             else:
-                lp, pair_vars, _ = build_soft_lp(inst, b, lam)
-                assignment = solve_soft_exact(inst, b, lam)[0]
-            solution = solve_lp(lp)
-            if assignment is None:
-                assert solution.status is LpStatus.INFEASIBLE, (source, b)
-                continue
-            assert (solution.status, solution.iterations) == (LpStatus.OPTIMAL, 0), (source, b)
-            nominated = [pair_vars[pair] for pair in enumerate(assignment.nominee, start=1)]
-            assert all(solution.values[k] > 0.5 for k in nominated), (source, b)
+                assignment, report = solve_soft(inst, b, lam)
+                exact, exact_report = solve_soft_exact(inst, b, lam)
+                assert assignment == exact, (source, b)
+                assert report.lp_bound == exact_report.objective, (source, b)
 
-    def test_start_is_the_cores_optimal_basis(self):
+    def test_prices_are_the_cheapest_absorbers(self):
+        half, one = _exact(0.5), _exact(1.0)
         # The authors tie.  At b = 2 the core gives paper 1 to author 2 and
-        # papers 2 and 3 to author 1.  Author 2 has room, so its slack stays
-        # basic; author 1 is full and could pass paper 2 to author 2, so its
-        # row is held tight with the pair (2, 2) basic at 0.
+        # papers 2 and 3 to author 1.  Author 2 has room and absorbs at its
+        # own p; author 1 is full and can pass paper 2 to it, so both cost 0.5.
         inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
-        assert solve_hard(inst, 2)[0].nominee == (2, 1, 1)
-        lp, pair_vars = build_hard_lp(inst, 2)
-        basic = tuple(pair_vars[pair] for pair in ((1, 2), (2, 1), (3, 1), (2, 2)))
-        assert lp.start == LpStart(basic, (0,))
-        assert solve_lp(lp).iterations == 0
-        # At b = 1 author 1 holds papers 1 and 3, one over the cap, so y_1 is
-        # basic.  Author 2 is full and could pass paper 2 to author 1, so its
-        # row is held tight with (2, 1) basic.
-        assert solve_soft_exact(inst, 1, 0.5)[0].nominee == (1, 2, 1)
-        lp, pair_vars, y_vars = build_soft_lp(inst, 1, 0.5)
-        basic = tuple(pair_vars[pair] for pair in ((1, 1), (2, 2), (3, 1)))
-        assert lp.start == LpStart(basic + (y_vars[1], pair_vars[2, 1]), (0, 1))
-        assert solve_lp(lp).iterations == 0
+        assert _slot_prices(inst, 2, None) == ([1, 0, 0], [half, half])
+        # At b = 1 author 1 holds papers 1 and 3, one over the cap, so it
+        # absorbs only at p + lam = 1.0.  Author 2 is full and can pass
+        # paper 2 to author 1, so it costs 1.0 too.
+        assert _slot_prices(inst, 1, 0.5) == ([0, 1, 0], [one, one])
         # Both authors are full and neither has room to pass a paper to: a
-        # closed set.  Author 2's p = 0.6 sets the price of both, so its slack
-        # stays basic, and author 1 is priced through (2, 1).
+        # closed set.  Author 2's p = 0.6 sets the price of both.
         inst = Instance.from_rows([[1, 2], [1, 2]], p=[0.2, 0.6])
-        lp, pair_vars = build_hard_lp(inst, 1)
-        basic = tuple(pair_vars[pair] for pair in ((1, 1), (2, 2), (2, 1)))
-        assert lp.start == LpStart(basic, (0,))
-        assert solve_lp(lp).iterations == 0
+        assert _slot_prices(inst, 1, None) == ([0, 1], [_exact(0.6)] * 2)
 
-    def test_infeasible_hard_program_starts_from_the_uncapped_optimum(self):
-        # Three papers do not fit two authors at b = 1, so the core has no
-        # answer.  The start is the optimal basis at b = n, where author 1
-        # holds every paper and its row is held tight.
+    def test_infeasible_hard_program_gives_a_hall_set(self):
+        # Three papers do not fit two authors at b = 1.  Paper 3 is left
+        # unassigned; its author 1 holds paper 1, whose author 2 holds paper 2.
         inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
-        lp = build_hard_lp(inst, 1)[0]
-        assert lp.start == build_hard_lp(inst, inst.n)[0].start
-        assert lp.start.tight == (0,)
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
-        # With no author on every paper, the start holds each paper's
-        # cheapest author and every slack.
+        holder, prices = _slot_prices(inst, 1, None)
+        assert (holder, prices) == ([0, 1, -1], None)
+        assert _hall_set(inst, holder) == ([2, 0, 1], {0, 1})
+        # Four papers, three authors: the reach from paper 4 takes all of them.
         inst = Instance.from_rows([[1, 2], [1, 2], [2, 3], [3]], p=[0.1, 0.2, 0.3])
-        nominee = greedy_assign_basic(inst)[0].nominee
-        assert nominee == (1, 1, 2, 3)
-        lp, pair_vars = build_hard_lp(inst, 1)
-        assert lp.start == LpStart(tuple(pair_vars[pair] for pair in enumerate(nominee, start=1)))
-        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        holder = _slot_prices(inst, 1, None)[0]
+        assert _hall_set(inst, holder) == ([3, 2, 1, 0], {0, 1, 2})
+        assert solve_hard_lp(inst, 1)[0] is None
 
-    @pytest.mark.parametrize("seed, most", [(42, 1_361), (7, 675)])
-    def test_infeasible_conference_program_is_proved_from_the_start(self, seed, most):
-        # At b = 3 the hard program has no answer.  From the slack basis dual
-        # simplex took 4,320 (seed 42) and 5,004 (seed 7) iterations here.
-        solution = solve_lp(build_hard_lp(conference(seed), 3)[0])
-        assert solution.status is LpStatus.INFEASIBLE
-        assert solution.iterations <= most
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_infeasible_conference_program_is_proved_by_a_hall_set(self, seed, monkeypatch):
+        # b = 3 leaves 500 authors 1,500 slots for 2,000 papers.  From the
+        # slack basis dual simplex took 4,320 (seed 42) and 5,004 (seed 7)
+        # iterations to prove it.
+        inst = conference(seed)
+        papers, authors = _hall_set(inst, _slot_prices(inst, 3, None)[0])
+        assert (len(set(papers)), len(authors)) == (1501, 500)
+        assert lp_module._hall_fault(inst, 3, papers, authors) == ""
+        refuse_highs(monkeypatch)
+        assert solve_hard_lp(inst, 3)[0] is None
 
-    @staticmethod
-    def soft_program():
-        # The basic greedy's basis: author 1 holds every paper (variables 0,
-        # 2 and 4), y_1 (variable 5) is basic and author 1's row is tight.
-        lp = build_soft_lp(Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5]), 1, 0.5)[0]
-        lp.start = LpStart((0, 2, 4, 5), (0,))
-        lp.check()
-        return lp
 
-    @pytest.mark.parametrize(
-        ("mutate", "message"),
-        [
-            (lambda basic, tight: (basic[:-1], tight), "start has 3 basic variables, expected 4"),
-            (lambda basic, tight: (basic, ()), "start has 4 basic variables, expected 3"),
-            (lambda basic, tight: ((7,) + basic[1:], tight), "start names variable 7, have 7"),
-            (lambda basic, tight: ((-1,) + basic[1:], tight), "start names variable -1, have 7"),
-            (lambda basic, tight: ((1.0,) + basic[1:], tight), "start names variable 1.0, have 7"),
-            (lambda basic, tight: (basic[:1] + basic[:-1], tight), "twice"),
-            (lambda basic, tight: (basic + (6,), (0, 0)), "row 0 tight twice"),
-            (lambda basic, tight: (basic, (2,)), "row 2 tight, which is not a '<=' row"),
-            (lambda basic, tight: (basic, (-1,)), "row -1 tight, which is not a '<=' row"),
-        ],
-        ids=[
-            "too-few", "too-many", "past-the-end", "negative", "float", "duplicate-variable",
-            "duplicate-row", "row-out-of-range", "negative-row",
-        ],
-    )
-    def test_malformed_start_is_rejected(self, mutate, message):
-        lp = self.soft_program()
-        lp.start = LpStart(*mutate(*lp.start))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            lp.check()
-        with pytest.raises(ValueError, match=re.escape(message)):
-            solve_lp(lp)
+class TestHallSet:
+    def test_verdict_agrees_with_the_oracle_and_needs_every_author(self):
+        rng = random.Random(73)
+        infeasible = 0
+        for _ in range(300):
+            inst = random_instance(rng, n_max=5, m_max=4)
+            for b in (1, 2, 3):
+                assignment = solve_hard_lp(inst, b)[0]
+                assert (assignment is None) == (oracle_hard(inst, b) is None)
+                holder, prices = _slot_prices(inst, b, None)
+                if prices is not None:
+                    continue
+                infeasible += 1
+                papers, authors = _hall_set(inst, holder)
+                assert lp_module._hall_fault(inst, b, papers, authors) == ""
+                for j in authors:
+                    assert lp_module._hall_fault(inst, b, papers, authors - {j}) != ""
+        assert infeasible > 100
 
-    def test_tight_row_must_be_a_leq_row(self):
-        lp = LinearProgram.minimize([1.0, 1.0])
-        lp.add_ineq([(0, 1.0)], 0.5, ">=")
-        lp.add_ineq([(1, 1.0)], 2.0, "<=")
-        lp.start = LpStart((1,), (1,))
-        lp.check()
-        assert solve_lp(lp).objective == pytest.approx(0.5, abs=1e-9)
-        lp.start = LpStart((0,), (0,))
-        with pytest.raises(ValueError, match=re.escape("row 0 tight, which is not a '<=' row")):
-            lp.check()
+    @pytest.mark.parametrize("b", [2, 3])
+    def test_infeasible_sweep_programs_are_proved(self, b):
+        inst = sweep()
+        papers, authors = _hall_set(inst, _slot_prices(inst, b, None)[0])
+        assert lp_module._hall_fault(inst, b, papers, authors) == ""
+        for j in authors:
+            assert lp_module._hall_fault(inst, b, papers, authors - {j}) != ""
 
-    def test_rejected_basis_is_an_error(self, monkeypatch):
-        real = lp_module._basis
-
-        def short_basis(core, form):
-            basis = real(core, form)
-            basis.row_status = basis.row_status[:-1]
-            return basis
-
-        monkeypatch.setattr(lp_module, "_basis", short_basis)
-        solution = solve_lp(self.soft_program())
-        assert solution.status is LpStatus.ERROR
-        assert solution.message == "HiGHS rejected the starting basis"
+    def test_a_hall_set_that_fails_its_check_raises(self, monkeypatch):
+        # Paper 3's only author is 1, so dropping author 1 leaves it outside.
+        inst = Instance.from_rows([[1, 2], [1, 2], [1]], p=[0.5, 0.5])
+        monkeypatch.setattr(lp_module, "_hall_set", lambda *args: (_hall_set(*args)[0], {1}))
+        fault = "author 1 is on a paper of the set but not in it"
+        message = f"hard relaxation Hall set failed its check: {fault}"
+        with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
+            solve_hard_lp(inst, 1)
+        assert lp_module._hall_fault(inst, 1, [2, 0, 1], {0, 1}) == ""
+        assert lp_module._hall_fault(inst, 2, [2, 0, 1], {0, 1}) == "3 papers fit 2 authors at b = 2"
 
 
 def _reference_assignment_lp(instance, b, lam):
     """The relaxation built as first written, kept frozen to check the array builder.
 
-    Python row lists of ``(variable, coefficient)`` pairs, a pair-to-variable
-    dict, and the start looked up in it; soft when ``lam`` is given.
+    Python row lists of ``(variable, coefficient)`` pairs and a
+    pair-to-variable dict; soft when ``lam`` is given.
     """
     nnz = instance.nnz
     pair_vars = dict(zip(instance.authorship, range(nnz)))
@@ -650,13 +639,6 @@ def _reference_assignment_lp(instance, b, lam):
         if y_vars:
             entries.append((y_vars[j], -1.0))
         lp.add_ineq(entries, float(b), "<=")
-    holder, tight = _slot_basis(instance, b, lam) or _slot_basis(instance, instance.n, None)
-    basic = [pair_vars[i, j + 1] for i, j in enumerate(holder, start=1)]
-    basic += [
-        y_vars[j + 1] if pair is None else pair_vars[pair[0] + 1, pair[1] + 1]
-        for j, pair in tight.items()
-    ]
-    lp.start = LpStart(tuple(basic), tuple(tight))
     return lp
 
 
@@ -669,7 +651,7 @@ def assert_same_form(got, want, case):
 
 
 class TestAssignmentForm:
-    """The array builder gives the solver form of the row-list programs, start included."""
+    """The array builder gives the solver form of the row-list programs."""
 
     @staticmethod
     def cases():
@@ -680,18 +662,13 @@ class TestAssignmentForm:
 
     @pytest.mark.parametrize("lam", [None, 5e-324, 0.3, 2.5])
     def test_equals_the_row_list_program(self, lam):
-        infeasible = 0
         for source, inst in self.cases():
             for b in (1, 2, 3, 5):
                 form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)[0]
-                assert form.start is not None
                 reference = lp_module._solver_form(_reference_assignment_lp(inst, b, lam))
                 assert_same_form(form, reference, (source, b))
                 view = build_hard_lp(inst, b)[0] if lam is None else build_soft_lp(inst, b, lam)[0]
                 assert_same_form(form, lp_module._solver_form(view), (source, b))
-                infeasible += lam is None and _slot_basis(inst, b, None) is None
-        # The hard programs include some with no assignment under the cap.
-        assert (infeasible > 0) == (lam is None)
 
     def test_routes_build_no_linear_program(self, monkeypatch):
         cases = [(conference(42), 5), (Instance.from_rows([[1]] * 5, p=[0.1]), 2)]
@@ -704,6 +681,7 @@ class TestAssignmentForm:
         for name in ("__init__", "add_eq", "add_ineq"):
             monkeypatch.setattr(LinearProgram, name, refuse)
         monkeypatch.setattr(lp_module, "_solver_form", refuse)
+        refuse_highs(monkeypatch)
         for (inst, b), (hard, soft) in zip(cases, expected):
             assert solve_hard_lp(inst, b) == hard
             assert solve_soft(inst, b, 0.3) == soft
