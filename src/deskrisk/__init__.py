@@ -15,7 +15,8 @@ Three problem variants over the same instance data:
 One module per solving method serves both capped variants: :mod:`.flow`
 holds the exact solvers, one author-slot greedy run straight on the
 instance (see there for why it is exact), and :mod:`.lp` the relaxations,
-whose routes certify that greedy's answer with its own prices.
+whose routes certify that greedy's answer with its own prices, in exact
+integer arithmetic and without numpy.
 The assignment networks of the paper's reduction (:func:`build_hard_network`,
 :func:`build_soft_network`) are an export; :func:`min_cost_circulation`
 solves only networks these builders emit, by reading the instance back and

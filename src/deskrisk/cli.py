@@ -123,10 +123,9 @@ def main() -> None:
 
 
 def run_cli(argv: list[str]) -> int:
-    # numpy loads later, on the LP routes only.  The certificate avoids BLAS,
-    # so OpenBLAS's thread pool would only add to
-    # numpy's import (0.15 s against 0.09 s on a 2-vCPU machine).  A value
-    # the caller set wins.
+    # numpy loads later, only for --dump-lp: no route loads it.  Nothing here
+    # calls BLAS, so OpenBLAS's thread pool would only add to numpy's import
+    # (0.15 s against 0.09 s on a 2-vCPU machine).  A value the caller set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:

@@ -7,27 +7,24 @@ author an overload variable ``y_j >= load_j - b``, ``y_j >= 0``, charged
 ``lam``, which any optimum pins to ``max(0, load_j - b)``.  Both programs
 are totally unimodular: the paper and author rows form a bipartite
 incidence matrix, and each ``y_j`` adds a unit column.  So every vertex is
-integral, and :func:`round_soft`'s per-paper argmax loses nothing on one; a
-``gap > 0`` in :func:`solve_soft`'s report can only come from an answer
-that is not a vertex.
+integral, and :func:`round_soft`'s per-paper argmax loses nothing on one.
 
 The routes (:func:`solve_hard_lp`, :func:`solve_soft_relaxed`,
-:func:`solve_soft`) call no LP solver.  The optimal vertex is the exact
-core's answer: ``x`` is 1 on each paper's holder and ``y_j = max(0, load_j
-- b)``.  The core's prices ``c_j`` (:func:`.flow._slot_prices`) give its
-duals: author row ``p_j - c_j``, paper row ``c_holder(i)``, reduced costs
-``c - A'y``.  A route answers only if :func:`_certify`, which trusts no
-solver, accepts them on the route's own program in ``O(nnz)``: primal
-feasibility within 1e-9, dual feasibility and the duality gap within 1e-7.
-An Infeasible answer needs a Hall set (Hall 1935), the LP's Farkas proof
-(Ahuja, Magnanti & Orlin 1993, ch. 11), to pass :func:`_hall_fault`.
+:func:`solve_soft`) call no LP solver and build no program.  The optimal
+vertex is the exact core's answer: ``x`` is 1 on each paper's holder and
+``y_j = max(0, load_j - b)``; the core's prices ``c_j``
+(:func:`.flow._slot_prices`) give its duals (author row ``p_j - c_j``, paper
+row ``c_holder(i)``).  A route answers only if :func:`_price_fault`, which
+trusts no solver, accepts them in exact dyadic integers in ``O(nnz + m)``,
+or, for an Infeasible answer, if a Hall set (Hall 1935), the LP's Farkas
+proof (Ahuja, Magnanti & Orlin 1993, ch. 11), passes :func:`_hall_fault`.
 Either check failing raises ``RuntimeError``.
 
 :func:`solve_lp` solves any :class:`LinearProgram`, or a program already in
 solver form, with HiGHS (Huangfu & Hall 2018) through the binding that
 scipy ships in ``scipy/optimize/_highspy``, from the slack basis, and
-certifies HiGHS's answer with the same :func:`_certify`.  The backend is
-dual simplex with devex pricing (Harris 1973), a fixed setting like the
+checks HiGHS's answer in floats with :func:`_certify`.  The backend is dual
+simplex with devex pricing (Harris 1973), a fixed setting like the
 tolerances: on these degenerate transportation LPs HiGHS's default dual
 steepest-edge pricing takes 2-8x more iterations.  HiGHS gets the program
 as arrays, in one call to the binding's array ``passModel``: rowwise, the
@@ -36,9 +33,10 @@ program's order (scipy's own; the row order steers the pivots), and an
 integrality array of zeros (an empty one is refused).  Importing
 ``scipy.optimize`` takes most of a second, so the binding is loaded on its
 own, once per process, and reused if ``scipy.optimize`` already loaded it.
-numpy is imported inside the functions that use it, so ``import deskrisk``
-and the greedy, flow, oracle and validate paths load neither numpy nor the
-binding, and the routes load numpy alone.
+numpy is imported inside the functions that use it (the program builders,
+so ``--dump-lp``, :func:`solve_lp` and :func:`round_soft`): ``import
+deskrisk`` and every route, the LP routes included, load neither numpy nor
+the binding.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Literal, NamedTuple
 
-from .flow import _hall_set, _slot_prices
+from .flow import _exact, _hall_set, _slot_prices
 from .instance import (
     Assignment,
     FractionalSolution,
@@ -176,7 +174,7 @@ class _SolverForm(NamedTuple):
 
 @dataclass
 class _Answer:
-    """A claimed answer, HiGHS's or a route's own, before any check.
+    """HiGHS's claimed answer, before any check.
 
     ``status`` is the claim: Optimal means claimed, not certified.  The
     vectors are present only with that claim: ``x`` is the column values,
@@ -395,17 +393,11 @@ def _certify(form: _SolverForm, answer: _Answer) -> tuple[str, float]:
     gap = abs(float(answer.objective) - dual)
     if not gap <= tol:
         return f"duality gap {gap:.3e} exceeds {tol:.1e}", gap
-    worst = float(np.max(np.abs(_reduced(form, y) - z), initial=0.0))
+    reduced = form.c - np.bincount(form.col, form.value * y[form.row], minlength=len(form.c))
+    worst = float(np.max(np.abs(reduced - z), initial=0.0))
     if not worst <= tol:
         return f"reduced-cost residual {worst:.3e} exceeds {tol:.1e}", gap
     return "", gap
-
-
-def _reduced(form: _SolverForm, row_dual: np.ndarray) -> np.ndarray:
-    """The reduced costs ``c - A'y`` of ``form`` at the row duals ``y``."""
-    import numpy as np
-
-    return form.c - np.bincount(form.col, form.value * row_dual[form.row], minlength=len(form.c))
 
 
 def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -419,14 +411,13 @@ def _pairs(instance: Instance) -> tuple[np.ndarray, np.ndarray]:
 
 def _assignment_form(
     instance: Instance, b: int | None, lam: float | None, soft: bool
-) -> tuple[_SolverForm, tuple[np.ndarray, np.ndarray]]:
+) -> _SolverForm:
     """The hard or (``soft``) soft relaxation in solver form, built from the instance.
 
     Variable ``k`` is the ``k``-th sorted pair, at its author's ``p``; the
     soft program's ``nnz + j`` is ``y_j`` (0-based).  Author rows come
     first, with their pairs in pair order and, if soft, ``-y_j`` last
     (``load_j - y_j <= b``); each paper's row is a run of consecutive pairs.
-    Returns the form and the :func:`_pairs` arrays it was built from.
     """
     import numpy as np
 
@@ -450,20 +441,17 @@ def _assignment_form(
     row = np.repeat(np.arange(m + n), np.concatenate((counts, lengths)))
     row_upper = np.concatenate((np.full(m, float(b)), np.ones(n)))
     row_lower = np.concatenate((np.full(m, -math.inf), np.ones(n)))
-    form = _SolverForm(c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
-    return form, (author, lengths)
+    return _SolverForm(c, np.zeros(len(c)), upper, row_lower, row_upper, m, row, col, value)
 
 
-def _certified_vertex(
+def _certified_assignment(
     instance: Instance, b: int | None, lam: float | None, soft: bool
-) -> tuple[np.ndarray, _SolverForm, tuple[np.ndarray, np.ndarray]] | None:
-    """The core's vertex in :func:`_assignment_form`'s variable order, the form and its pairs.
+) -> Assignment | None:
+    """The core's answer, once its prices certify it as the relaxation's optimal vertex.
 
     ``None`` for a hard program whose Hall set passed its check.  Raises
     ``RuntimeError`` when a check fails (see the module docstring).
     """
-    import numpy as np
-
     require_valid(instance)
     b, lam = resolve_limits(instance, b, lam, soft=soft)
     holder, price = _slot_prices(instance, b, lam)
@@ -472,19 +460,47 @@ def _certified_vertex(
         if fault:
             raise RuntimeError(f"hard relaxation Hall set failed its check: {fault}")
         return None
-    form, (author, lengths) = _assignment_form(instance, b, lam, soft)
-    held = np.asarray(holder)
-    x = (author == np.repeat(held, lengths)).astype(float)
-    if soft:
-        x = np.concatenate((x, np.maximum(np.bincount(held, minlength=instance.m) - b, 0)))
-    cost = np.array([value / _PRICE_SCALE for value in price])
-    row_dual = np.concatenate((np.asarray(instance.p) - cost, cost[held]))
-    objective = float(np.sum(form.c * x))
-    answer = _Answer(LpStatus.OPTIMAL, "", 0, objective, x, row_dual, _reduced(form, row_dual))
-    fault = _certify(form, answer)[0]
+    fault = _price_fault(instance, b, lam, holder, price)
     if fault:
         raise RuntimeError(f"{'soft' if soft else 'hard'} relaxation failed its certificate: {fault}")
-    return x, form, (author, lengths)
+    return Assignment(nominee=tuple(h + 1 for h in holder))
+
+
+def _price_fault(
+    instance: Instance, b: int, lam: float | None, holder: list[int], price: list[int]
+) -> str:
+    """Why exact prices ``c`` (see :func:`.flow._exact`) do not certify ``holder``; "" if they do.
+
+    Each paper's holder is one of its authors and no co-author costs less
+    (pair reduced costs ``c_k - c_holder(i) >= 0``); every author has ``c_j
+    >= p_j`` (row dual sign), ``c_j == p_j`` below ``b`` (slackness) and,
+    hard, a load of at most ``b``; soft, ``c_j <= p_j + lam`` (``y_j``'s
+    reduced cost), with equality above ``b``.  Then the duality gap ``sum_j
+    (load_j - b)(p_j - c_j) + lam * max(0, load_j - b)`` is exactly 0
+    (Ahuja, Magnanti & Orlin 1993, ch. 9).  Names the first failing paper, then author.
+    """
+    load = [0] * instance.m
+    for i, (row, h) in enumerate(zip(instance.rows, holder), start=1):
+        if h + 1 not in row:
+            return f"paper {i}: holder {h + 1} is not one of its authors"
+        floor = price[h]
+        for k in row:
+            if price[k - 1] < floor:
+                return f"paper {i}: co-author {k} is priced below its holder {h + 1}"
+        load[h] += 1
+    extra = None if lam is None else _exact(lam)
+    for j, (c, p, count) in enumerate(zip(price, map(_exact, instance.p), load), start=1):
+        if c < p:
+            return f"author {j}: price {c / _PRICE_SCALE!r} is below p_{j} = {p / _PRICE_SCALE!r}"
+        if extra is None and count > b:
+            return f"author {j}: load {count} exceeds b = {b}"
+        if count < b and c != p:
+            return f"author {j}: load {count} is below b = {b}, but its price is not p_{j}"
+        if extra is not None and c > p + extra:
+            return f"author {j}: price {c / _PRICE_SCALE!r} is above p_{j} + lambda"
+        if extra is not None and count > b and c != p + extra:
+            return f"author {j}: load {count} is above b = {b}, but its price is not p_{j} + lambda"
+    return ""
 
 
 def _hall_fault(instance: Instance, b: int, papers: list[int], authors: set[int]) -> str:
@@ -509,7 +525,7 @@ def _assignment_lp(
     """:func:`_assignment_form` as a :class:`LinearProgram`, with its variable maps."""
     import numpy as np
 
-    form = _assignment_form(instance, b, lam, soft)[0]
+    form = _assignment_form(instance, b, lam, soft)
     nnz, m = instance.nnz, instance.m
     upper = [None if up == math.inf else up for up in form.upper.tolist()]
     lp = LinearProgram(len(form.c), form.c.tolist(), form.lower.tolist(), upper)
@@ -555,47 +571,26 @@ def solve_hard_lp(
     set shows that no fractional assignment meets the cap.  Raises
     ``RuntimeError`` when the certificate or the Hall set fails its check.
     """
-    vertex = _certified_vertex(instance, b, None, soft=False)
-    if vertex is None:
+    assignment = _certified_assignment(instance, b, None, soft=False)
+    if assignment is None:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver="hard-lp")
-    x, _, (author, _) = vertex
-    # Each paper's row sums to 1, so its one pair at 1 names its nominee.
-    assignment = Assignment(nominee=tuple((author[x > 0.5] + 1).tolist()))
     return assignment, replace(report_for(instance, assignment, "hard-lp"), integral=True)
-
-
-def _relax_soft(
-    instance: Instance, b: int | None, lam: float | None
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], SolveReport]:
-    """:func:`solve_soft_relaxed` as arrays: ``x``, ``y``, :func:`_pairs` and the report.
-
-    ``np.cumsum`` adds the expected rejections in pair order, one term at a
-    time (``np.sum`` does not), so equal answers give bit-identical totals.
-    """
-    import numpy as np
-
-    b, lam = resolve_limits(instance, b, lam, soft=True)
-    values, form, pairs = _certified_vertex(instance, b, lam, soft=True)
-    nnz = instance.nnz
-    x, y = np.split(values, [nnz])
-    expected_rejections = float(np.cumsum(form.c[:nnz] * x)[-1])
-    penalty = lam * sum(y.tolist())
-    report = SolveReport(
-        status=SolveStatus.OPTIMAL, objective=expected_rejections + penalty,
-        expected_rejections=expected_rejections, penalty=penalty, loads=None, solver="soft-lp",
-    )
-    return x, y, pairs, report
 
 
 def solve_soft_relaxed(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[FractionalSolution, SolveReport]:
-    """Certified optimum of :func:`build_soft_lp`'s epigraph relaxation.
+    """Certified optimum of :func:`build_soft_lp`'s epigraph relaxation: the core's vertex.
 
-    The overload values are ``max(0, load_j - b)`` at the core's vertex.
+    Its objective is :func:`solve_soft_exact`'s, bit for bit: the same sums in the same order.
     """
-    x, y, _, report = _relax_soft(instance, b, lam)
-    return FractionalSolution(dict(zip(instance.authorship, x.tolist())), tuple(y.tolist())), report
+    b, lam = resolve_limits(instance, b, lam, soft=True)
+    assignment = _certified_assignment(instance, b, lam, soft=True)
+    nominee = assignment.nominee
+    x = {(i, j): float(nominee[i - 1] == j) for i, j in instance.authorship}
+    report = report_for(instance, assignment, "soft-lp", soft=(b, lam))
+    y = tuple(float(max(0, load - b)) for load in report.loads)
+    return FractionalSolution(x, y), replace(report, loads=None)
 
 
 def round_soft(instance: Instance, fractional: FractionalSolution) -> Assignment:
@@ -611,13 +606,7 @@ def round_soft(instance: Instance, fractional: FractionalSolution) -> Assignment
     weights = map(fractional.x.get, instance.authorship, repeat(0.0))
     x = np.fromiter(weights, dtype=float, count=instance.nnz)
     x[np.isnan(x)] = -math.inf
-    return _round(x, *_pairs(instance))
-
-
-def _round(x: np.ndarray, author: np.ndarray, lengths: np.ndarray) -> Assignment:
-    """Per paper the author of its first pair with the largest weight in ``x``."""
-    import numpy as np
-
+    author, lengths = _pairs(instance)
     first = np.cumsum(lengths) - lengths
     best = np.repeat(np.maximum.reduceat(x, first), lengths)
     pick = np.minimum.reduceat(np.where(x == best, np.arange(len(x)), len(x)), first)
@@ -627,11 +616,11 @@ def _round(x: np.ndarray, author: np.ndarray, lengths: np.ndarray) -> Assignment
 def solve_soft(
     instance: Instance, b: int | None = None, lam: float | None = None
 ) -> tuple[Assignment, SolveReport]:
-    """Relax, round, and report both the integral objective and the LP bound."""
-    x, _, pairs, relaxed_report = _relax_soft(instance, b, lam)
-    assignment = _round(x, *pairs)
+    """Relax, round, and report both the integral objective and the LP bound.
+
+    The certified vertex is integral, so it rounds to itself and the gap is 0.
+    """
+    assignment = _certified_assignment(instance, b, lam, soft=True)
     report = report_for(instance, assignment, "soft-lp-round", soft=(b, lam))
-    assert report.objective is not None and relaxed_report.objective is not None
-    bound, objective = relaxed_report.objective, report.objective
-    report = replace(report, lp_bound=bound, rounded_objective=objective, gap=objective - bound)
-    return assignment, report
+    objective = report.objective
+    return assignment, replace(report, lp_bound=objective, rounded_objective=objective, gap=0.0)

@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ONE_SEARCH = ["tests/test_oracle.py::TestOneSearch"]
+PRICE_CHECK = "tests/test_lp.py::TestPriceCheck::test_a_broken_certificate_names_its_row"
 
 MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
@@ -106,11 +107,18 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_io.py::TestAssignmentAndReportJson", "-k", "malformed_report_field"],
     ),
     (
+        "validate-allocates-a-flag-per-paper",
+        "src/deskrisk/instance.py",
+        "    uncovered.append(range(unseen, n + 1))\n",
+        "    uncovered.append(range(unseen, n + 1))\n    [False] * n\n",
+        ["tests/test_instance.py", "-k", "huge_paper_count"],
+    ),
+    (
         "soft-relaxation-sums-in-reverse",
-        "src/deskrisk/lp.py",
-        "    expected_rejections = float(np.cumsum(form.c[:nnz] * x)[-1])\n",
-        "    expected_rejections = float(np.cumsum((form.c[:nnz] * x)[::-1])[-1])\n",
-        ["tests/test_lp.py::TestWarmStart::test_every_feasible_program_certifies_without_a_pivot"],
+        "src/deskrisk/instance.py",
+        "    for j in assignment.nominee:\n        total += instance.p[j - 1]\n",
+        "    for j in reversed(assignment.nominee):\n        total += instance.p[j - 1]\n",
+        ["tests/test_golden.py"],
     ),
     (
         "lp-author-rows-list-their-pairs-in-reverse",
@@ -129,16 +137,44 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "lp-author-row-duals-flipped",
         "src/deskrisk/lp.py",
-        "    row_dual = np.concatenate((np.asarray(instance.p) - cost, cost[held]))\n",
-        "    row_dual = np.concatenate((cost - np.asarray(instance.p), cost[held]))\n",
+        "        if c < p:\n",
+        "        if c > p:\n",
         ["tests/test_lp.py::TestAssignmentVertices::test_conference_lps_certify_without_a_pivot"],
     ),
     (
         "lp-route-skips-the-certificate",
         "src/deskrisk/lp.py",
-        "    fault = _certify(form, answer)[0]\n",
+        "    fault = _price_fault(instance, b, lam, holder, price)\n",
         '    fault = ""\n',
         ["tests/test_lp.py::TestSolveHardLp::test_prices_that_fail_the_certificate_raise"],
+    ),
+    (
+        "price-check-drops-the-slackness-test",
+        "src/deskrisk/lp.py",
+        "        if count < b and c != p:\n",
+        "        if False:\n",
+        [f"{PRICE_CHECK}[changed-price]"],
+    ),
+    (
+        "price-check-skips-the-holder-test",
+        "src/deskrisk/lp.py",
+        "        if h + 1 not in row:\n",
+        "        if False:\n",
+        [f"{PRICE_CHECK}[holder-not-an-author]"],
+    ),
+    (
+        "price-check-skips-the-pair-test",
+        "src/deskrisk/lp.py",
+        "            if price[k - 1] < floor:\n",
+        "            if False:\n",
+        [f"{PRICE_CHECK}[cheaper-co-author]"],
+    ),
+    (
+        "price-check-drops-the-soft-slope-test",
+        "src/deskrisk/lp.py",
+        "        if extra is not None and count > b and c != p + extra:\n",
+        "        if False:\n",
+        [f"{PRICE_CHECK}[soft-off-its-slope]"],
     ),
     (
         "hall-check-ignores-one-outside-author",

@@ -30,15 +30,6 @@ print(code, *heavy, file=sys.stderr)
 
 HIGHS_BINDING = "scipy.optimize._highspy._core"
 
-# Runs the CLI, then prints the exit code and which of the comma-separated
-# modules in argv[1] are in sys.modules, in that order, to stderr.
-LOADED_PROBE = """
-import sys
-from deskrisk.cli import run_cli
-code = run_cli(sys.argv[2:])
-print(code, *[name for name in sys.argv[1].split(",") if name in sys.modules], file=sys.stderr)
-"""
-
 # Runs the CLI, then prints the exit code, whether numpy loaded, and the
 # OpenBLAS thread setting the process ended with, to stderr.
 BLAS_PROBE = """
@@ -157,7 +148,7 @@ class TestValidateCommand:
 
 
 class TestImportBoundary:
-    """Only the LP routes may load numpy and scipy; the rest stay stdlib-only."""
+    """Only ``--dump-lp`` and ``solve_lp`` may load numpy and scipy; no route may."""
 
     FRAC = str(FIXTURES / "frac_2x2.json")
 
@@ -174,8 +165,11 @@ class TestImportBoundary:
             ["solve", "--variant", "soft", "--b", "1", "--lambda", "0.5",
              "--algorithm", "exact-flow"],
             ["oracle", "--variant", "hard", "--b", "1"],
+            ["solve", "--variant", "hard", "--b", "1", "--algorithm", "lp"],
+            ["solve", "--variant", "soft", "--b", "1", "--lambda", "0.5",
+             "--algorithm", "lp-round"],
         ],
-        ids=["validate", "greedy", "flow", "exact-flow", "oracle"],
+        ids=["validate", "greedy", "flow", "exact-flow", "oracle", "lp", "lp-round"],
     )
     def test_non_lp_routes_load_no_numpy_or_scipy(self, argv, tmp_path):
         argv = [argv[0], self.FRAC, *argv[1:]]
@@ -183,28 +177,15 @@ class TestImportBoundary:
             argv += ["-o", str(tmp_path / "report.json")]
         assert run_probe("deskrisk.cli", argv) == (0, [])
 
-    def test_lp_routes_load_numpy_not_the_highs_binding(self, tmp_path):
-        watched = ["numpy", HIGHS_BINDING, "scipy.optimize._optimize", "scipy.linalg", "scipy.sparse"]
-        for variant in (["hard", "--algorithm", "lp"], ["soft", "--algorithm", "lp-round"]):
-            argv = ["solve", self.FRAC, "--b", "1", "--lambda", "0.5", "--variant", *variant,
-                    "-o", str(tmp_path / "report.json")]
-            result = subprocess.run(
-                [sys.executable, "-c", LOADED_PROBE, ",".join(watched), *argv],
-                env=src_env(),
-                capture_output=True,
-                text=True,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stderr.split() == ["0", "numpy"]
-
     @pytest.mark.parametrize(("given", "seen"), [(None, "1"), ("2", "2")])
     def test_lp_command_loads_numpy_with_one_blas_thread_unless_told(self, given, seen, tmp_path):
+        # --dump-lp builds the program as numpy arrays: the one CLI path that loads numpy.
         env = src_env()
         env.pop("OPENBLAS_NUM_THREADS", None)
         if given is not None:
             env["OPENBLAS_NUM_THREADS"] = given
         argv = ["solve", self.FRAC, "--variant", "hard", "--b", "1", "--algorithm", "lp",
-                "-o", str(tmp_path / "report.json")]
+                "--dump-lp", str(tmp_path / "lp.json"), "-o", str(tmp_path / "report.json")]
         result = subprocess.run(
             [sys.executable, "-c", BLAS_PROBE, *argv], env=env, capture_output=True, text=True
         )
@@ -423,8 +404,20 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @staticmethod
+    def zero_prices(monkeypatch):
+        """Price every author at 0: author 1's p = 1/6 fails the check on frac_2x2."""
+        import deskrisk.lp
+
+        real = deskrisk.lp._slot_prices
+
+        def zero(instance, *limits):
+            return real(instance, *limits)[0], [0] * instance.m
+
+        monkeypatch.setattr(deskrisk.lp, "_slot_prices", zero)
+
     def test_backend_failure_is_an_error_exit(self, monkeypatch, capsys):
-        monkeypatch.setattr("deskrisk.lp._certify", lambda form, answer: ("numerical trouble", 0.0))
+        self.zero_prices(monkeypatch)
         code = run_cli(
             ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "soft", "--b", "1",
              "--lambda", "0.5", "--algorithm", "lp-round"]
@@ -432,11 +425,14 @@ class TestSolveCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: soft relaxation failed its certificate: numerical trouble\n"
+        assert captured.err == (
+            "error: soft relaxation failed its certificate:"
+            " author 1: price 0.0 is below p_1 = 0.16666666666666666\n"
+        )
 
     @pytest.mark.parametrize("output", [False, True], ids=["stdout", "-o"])
     def test_hard_lp_backend_failure_is_an_error_exit(self, output, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr("deskrisk.lp._certify", lambda form, answer: ("numerical trouble", 0.0))
+        self.zero_prices(monkeypatch)
         out = tmp_path / "report.json"
         argv = ["solve", str(FIXTURES / "frac_2x2.json"), "--variant", "hard", "--b", "1",
                 "--algorithm", "lp"]
@@ -444,7 +440,10 @@ class TestSolveCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: hard relaxation failed its certificate: numerical trouble\n"
+        assert captured.err == (
+            "error: hard relaxation failed its certificate:"
+            " author 1: price 0.0 is below p_1 = 0.16666666666666666\n"
+        )
         assert not out.exists()
 
     def test_wrong_variant_algorithm_combo_is_an_input_error(self, capsys):

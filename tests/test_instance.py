@@ -182,6 +182,19 @@ class TestValidate:
             with pytest.raises(ValueError, match=re.escape(message) + "$"):
                 instance_module.resolve_limits(inst, b, lam, soft=True)
 
+    def test_huge_paper_count_names_the_first_papers_and_counts_the_rest(self):
+        # n = 10**20 allocates nothing per paper, and the list stays short.
+        inst = Instance(n=10**20, m=1, authorship=((1, 1),), p=(0.5,))
+        named = [f"paper {i} has no authors" for i in range(2, 102)]
+        assert validate(inst) == named + [f"… and {10**20 - 101} more papers have no authors"]
+        inst = Instance(n=5, m=1, authorship=((2, 1), (4, 1), (4, 1)), p=(0.5,))
+        assert validate(inst) == [
+            "duplicate authorship pair (4, 1)",
+            "paper 1 has no authors",
+            "paper 3 has no authors",
+            "paper 5 has no authors",
+        ]
+
     def test_numpy_integer_counts_and_limit_are_ints(self):
         np = pytest.importorskip("numpy")
         one = np.int64(1)

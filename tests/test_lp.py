@@ -391,9 +391,8 @@ class TestAssignmentVertices:
         # iterations here.
         inst, lam = conference(42), 0.3 if soft else None
         refuse_highs(monkeypatch)
-        x, _, (author, _) = lp_module._certified_vertex(inst, 5, lam, soft)
         core = solve_soft_exact(inst, 5, lam)[0] if soft else solve_hard(inst, 5)[0]
-        assert tuple((author[x[: inst.nnz] > 0.5] + 1).tolist()) == core.nominee
+        assert lp_module._certified_assignment(inst, 5, lam, soft) == core
 
     def test_hard_vertex_is_integral_and_exact(self):
         for inst, b in exact_cases():
@@ -455,15 +454,72 @@ class TestSolveHardLp:
     )
     def test_prices_that_fail_the_certificate_raise(self, monkeypatch, route, message):
         # With every price at 0, author 1's row dual is p_1 = 1/6 > 0 on a
-        # "<=" row, which prices its infinite lower side.
+        # "<=" row, which the exact check refuses as c_1 < p_1.
         inst = load_instance(FIXTURES / "frac_2x2.json")
         monkeypatch.setattr(
             lp_module, "_slot_prices", lambda *args: (_slot_prices(*args)[0], [0] * inst.m)
         )
-        fault = "inequality row 0 has dual 1.667e-01 on an infinite bound"
+        fault = "author 1: price 0.0 is below p_1 = 0.16666666666666666"
         message = f"{message} failed its certificate: {fault}"
         with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
             route(inst)
+
+
+class TestPriceCheck:
+    """The routes' exact check of the core's prices, and its tie to the exported program."""
+
+    @pytest.mark.parametrize(
+        ("rows", "p", "lam", "change", "fault"),
+        [
+            # Author 2 has no paper, so its price must be its own p_2.
+            ([[1, 2]], [0.2, 0.6], None, lambda holder, price: (holder, [price[0], price[1] + 1]),
+             "author 2: load 0 is below b = 1, but its price is not p_2"),
+            ([[1, 2], [2]], [0.2, 0.6], None, lambda holder, price: ([0, 0], price),
+             "paper 2: holder 1 is not one of its authors"),
+            # Holder 1 at the cap priced above co-author 2: only the pair test sees it.
+            ([[1, 2]], [0.2, 0.6], None, lambda holder, price: (holder, [price[0] + 1, price[1]]),
+             "paper 1: co-author 2 is priced below its holder 1"),
+            # Author 1 holds 3 papers at b = 1, so it must cost p_1 + lam exactly.
+            ([[1]] * 3, [0.5], 0.25, lambda holder, price: (holder, [price[0] - 1]),
+             "author 1: load 3 is above b = 1, but its price is not p_1 + lambda"),
+        ],
+        ids=["changed-price", "holder-not-an-author", "cheaper-co-author", "soft-off-its-slope"],
+    )
+    def test_a_broken_certificate_names_its_row(self, monkeypatch, rows, p, lam, change, fault):
+        inst = Instance.from_rows(rows, p=p)
+        holder, price = _slot_prices(inst, 1, lam)
+        assert lp_module._price_fault(inst, 1, lam, holder, price) == ""
+        monkeypatch.setattr(lp_module, "_slot_prices", lambda *args: change(holder, price))
+        kind = "hard" if lam is None else "soft"
+        message = re.escape(f"{kind} relaxation failed its certificate: {fault}") + "$"
+        with pytest.raises(RuntimeError, match=message):
+            solve_hard_lp(inst, 1) if lam is None else solve_soft(inst, 1, lam)
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_prices_certify_the_exported_program_in_floats(self, soft):
+        # Wherever the exact check passes, the core's vertex and the float
+        # duals its prices give also pass _certify on the program --dump-lp
+        # exports, so the two checks agree on what the routes answer.
+        checked = 0
+        for source, inst, b, lam in cross_check_cases(soft):
+            holder, price = _slot_prices(inst, b, lam)
+            if price is None:
+                continue
+            assert lp_module._price_fault(inst, b, lam, holder, price) == "", (source, b, lam)
+            form = lp_module._assignment_form(inst, b, lam, soft)
+            author, lengths = lp_module._pairs(inst)
+            held = np.asarray(holder)
+            x = (author == np.repeat(held, lengths)).astype(float)
+            if soft:
+                x = np.concatenate((x, np.maximum(np.bincount(held, minlength=inst.m) - b, 0)))
+            cost = np.array([value / 2**1074 for value in price])
+            row_dual = np.concatenate((np.asarray(inst.p) - cost, cost[held]))
+            reduced = form.c - np.bincount(form.col, form.value * row_dual[form.row])
+            objective = float(np.sum(form.c * x))
+            answer = lp_module._Answer(LpStatus.OPTIMAL, "", 0, objective, x, row_dual, reduced)
+            assert lp_module._certify(form, answer)[0] == "", (source, b, lam)
+            checked += 1
+        assert checked > 300
 
 
 def warm_start_cases() -> list[tuple[str, Instance, int]]:
@@ -503,7 +559,7 @@ class TestWarmStart:
     def test_start_changes_no_answer(self, soft):
         statuses = set()
         for source, inst, b, lam in cross_check_cases(soft):
-            solution = solve_lp(lp_module._assignment_form(inst, b, lam, soft)[0])
+            solution = solve_lp(lp_module._assignment_form(inst, b, lam, soft))
             if soft:
                 report = solve_soft_relaxed(inst, b, lam)[1]
             else:
@@ -664,7 +720,7 @@ class TestAssignmentForm:
     def test_equals_the_row_list_program(self, lam):
         for source, inst in self.cases():
             for b in (1, 2, 3, 5):
-                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)[0]
+                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)
                 reference = lp_module._solver_form(_reference_assignment_lp(inst, b, lam))
                 assert_same_form(form, reference, (source, b))
                 view = build_hard_lp(inst, b)[0] if lam is None else build_soft_lp(inst, b, lam)[0]
@@ -680,7 +736,8 @@ class TestAssignmentForm:
 
         for name in ("__init__", "add_eq", "add_ineq"):
             monkeypatch.setattr(LinearProgram, name, refuse)
-        monkeypatch.setattr(lp_module, "_solver_form", refuse)
+        for name in ("_solver_form", "_assignment_form", "_certify"):
+            monkeypatch.setattr(lp_module, name, refuse)
         refuse_highs(monkeypatch)
         for (inst, b), (hard, soft) in zip(cases, expected):
             assert solve_hard_lp(inst, b) == hard
