@@ -4,7 +4,9 @@
 nomination problem as a circulation on a four-layer network (source,
 authors, papers, sink, plus a return edge): the paper's reduction, kept as
 an export.  :func:`solve_hard` and :func:`solve_soft_exact` do not build it:
-they run the greedy below straight on the instance's author-to-papers lists.
+they run the greedy below on the instance's core index, which each instance
+builds once and every solve on it reuses: each author's papers and exact
+``p_j``, and its free slots in ascending weight.
 :func:`min_cost_circulation` solves only networks these builders emit: it
 reads the instance back from the edges, rebuilds the network to check it,
 and writes the greedy's nominees as a flow, so both routes give the same
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Sequence
 
 from .instance import (
     Assignment,
@@ -45,6 +48,7 @@ from .instance import (
     SolveReport,
     SolveStatus,
     _count_loads,
+    _exact,
     report_for,
     require_valid,
     resolve_limits,
@@ -170,16 +174,6 @@ def _read_instance(network: FlowNetwork) -> tuple[Instance, int, float | None]:
     return Instance(n=n, m=m, authorship=tuple(pairs), p=tuple(p)), sources[0].capacity, lam
 
 
-def _exact(cost: float) -> int:
-    """``cost * 2**1074`` as an integer.
-
-    Every finite float is a whole multiple of ``2**-1074``, so sums and
-    comparisons of these are exact, as with ``Fraction`` but without its cost.
-    """
-    numerator, denominator = cost.as_integer_ratio()
-    return numerator << (1075 - denominator.bit_length())
-
-
 def check_circulation(network: FlowNetwork, circulation: Circulation) -> list[str]:
     """Verify bounds and per-vertex conservation; returns violations (empty = ok)."""
     violations: list[str] = []
@@ -245,8 +239,8 @@ def build_soft_network(
 
 def _slot_greedy(
     instance: Instance, b: int, lam: float | None
-) -> tuple[list[list[int]], list[tuple[int, int, bool]], list[int] | None]:
-    """The author-slot greedy on the instance itself, over 0-based ids.
+) -> tuple[tuple[tuple[int, ...], ...], Sequence[tuple[int, int, bool]], list[int]]:
+    """The author-slot greedy on the instance's core index, over 0-based ids.
 
     Author ``j`` gets ``b`` slots of weight ``p_j`` and, when ``lam`` is
     given, ``n`` more of weight ``p_j + lam``.  Equal weights keep the order
@@ -254,9 +248,11 @@ def _slot_greedy(
     first), and each author's papers are searched in ascending order.  Each
     slot takes papers while an augmenting search from its author succeeds.
     Returns each author's papers, the slots as ``(exact weight, author,
-    whether it is the lam slot)`` in ascending weight, and each paper's
-    holder, ``-1`` for a paper left unassigned.  ``b`` and ``lam`` must
-    already be resolved and the instance valid.
+    whether it is the lam slot)`` in ascending order, and each paper's
+    holder, ``-1`` for a paper left unassigned.  The papers and the free
+    slots are the index's own; the lam slots are its free slots shifted by
+    ``lam``, merged in.  ``b`` and ``lam`` must already be resolved and the
+    instance valid.
 
     The search checks each author for an unassigned paper as it reaches it.
     Authors are scanned in the order reached, so this stops at the author,
@@ -266,17 +262,11 @@ def _slot_greedy(
     kills every author it reached; ``reached`` holds a search number or ``dead``.
     """
     n, m = instance.n, instance.m
-    papers_of: list[list[int]] = [[] for _ in range(m)]
-    for i, j in instance.authorship:
-        papers_of[j - 1].append(i - 1)
-    slots: list[tuple[int, int, bool]] = []
-    extra = None if lam is None else _exact(lam)
-    for author, p in enumerate(instance.p):
-        weight = _exact(p)
-        slots.append((weight, author, False))
-        if extra is not None:
-            slots.append((weight + extra, author, True))
-    slots.sort(key=itemgetter(0))
+    papers_of, _, slots = instance._core
+    if lam is not None:
+        extra = _exact(lam)
+        # Two ascending runs: the sort merges them.
+        slots = sorted([*slots, *((weight + extra, author, True) for weight, author, _ in slots)])
     holder = [-1] * n
     cursor = [0] * m  # papers_of[a][:cursor[a]] stay assigned: paths unassign nothing
     reached = [0] * m
@@ -377,15 +367,14 @@ def _slot_prices(
                     price[j] = weight
                     queue.append(j)
     if None in price:
-        _price_closed_sets(instance, papers_of, holder, slots, price)
+        _price_closed_sets(instance, holder, slots, price)
     return holder, price
 
 
 def _price_closed_sets(
     instance: Instance,
-    papers_of: list[list[int]],
     holder: list[int],
-    slots: list[tuple[int, int, bool]],
+    slots: Sequence[tuple[int, int, bool]],
     price: list[int | None],
 ) -> None:
     """Price the hard variant's authors that reach no absorber, in place.
@@ -398,9 +387,8 @@ def _price_closed_sets(
     priced passes its price forward to every unpriced author it can pass a
     paper to.
     """
-    rows = instance.rows
+    rows, papers_of = instance.rows, instance._core.papers_of
     seeds: list[tuple[int, int]] = []
-    held: list[list[int]] = [[] for _ in range(instance.m)]
     for weight, k, _ in slots:
         if price[k] is None:
             seeds.append((weight, k))
@@ -408,9 +396,6 @@ def _price_closed_sets(
                 j = holder[paper]
                 if price[j] is not None:
                     seeds.append((price[j], k))
-    for paper, author in enumerate(holder):
-        if price[author] is None:
-            held[author].append(paper)
     seeds.sort(key=itemgetter(0), reverse=True)
     for value, start in seeds:
         if price[start] is not None:
@@ -418,7 +403,9 @@ def _price_closed_sets(
         price[start] = value
         queue = [start]
         for k in queue:
-            for paper in held[k]:
+            for paper in papers_of[k]:
+                if holder[paper] != k:
+                    continue
                 for j in rows[paper]:
                     j -= 1
                     if price[j] is None:
@@ -432,18 +419,16 @@ def _hall_set(instance: Instance, holder: list[int]) -> tuple[list[int], set[int
     Each paper in ``S`` adds its authors to ``A``, and each author added
     brings the papers it holds.  The hard greedy left every author reached
     at ``b``, so ``|S| = b * |A| + 1`` and Hall's condition fails (Hall 1935).
+    Each author's papers come from the core index, ascending.
     """
-    held: list[list[int]] = [[] for _ in range(instance.m)]
-    for paper, author in enumerate(holder):
-        if author >= 0:
-            held[author].append(paper)
-    rows = instance.rows
+    rows, papers_of = instance.rows, instance._core.papers_of
     papers, authors = [holder.index(-1)], set()
     for paper in papers:
         for j in rows[paper]:
-            if j - 1 not in authors:
-                authors.add(j - 1)
-                papers.extend(held[j - 1])
+            j -= 1
+            if j not in authors:
+                authors.add(j)
+                papers.extend(i for i in papers_of[j] if holder[i] == j)
     return papers, authors
 
 

@@ -7,7 +7,10 @@ through the evaluators in this module, never copied out of solver internals.
 
 Papers and authors are numbered starting at 1, matching the on-disk JSON
 format.  All types are immutable after construction and all functions here
-are pure, so instances and assignments can be shared freely across threads.
+are pure.  An instance builds what it derives from its fields (its rows,
+its violations, the exact core's index) once, on first use, and never
+changes it; threads that race to build one build equal values, so instances
+and assignments can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 _NAMED_PAPERS = 100  # validate names this many papers without authors, then counts the rest
 
@@ -34,6 +37,14 @@ class InvalidInstanceError(ValueError):
 
 class InvalidAssignmentError(ValueError):
     """Raised when an assignment does not fit its instance."""
+
+
+class _CoreIndex(NamedTuple):
+    """What the exact core (:mod:`.flow`) reads of a valid instance, 0-based."""
+
+    papers_of: tuple[tuple[int, ...], ...]  # each author's papers, ascending
+    weights: tuple[int, ...]  # each author's exact p_j (see _exact)
+    slots: tuple[tuple[int, int, bool], ...]  # each author's free slot, ascending
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,19 @@ class Instance:
         """What :func:`validate` reports, found once per instance since it is frozen."""
         return tuple(_find_violations(self))
 
+    @cached_property
+    def _core(self) -> _CoreIndex:
+        """The exact core's index, built once per instance since it is frozen.
+
+        It depends on the instance alone, never on ``b``, ``lam`` or a solve.
+        """
+        papers_of: list[list[int]] = [[] for _ in range(self.m)]
+        for i, j in self.authorship:
+            papers_of[j - 1].append(i - 1)
+        weights = tuple(map(_exact, self.p))
+        slots = sorted((weight, author, False) for author, weight in enumerate(weights))
+        return _CoreIndex(tuple(map(tuple, papers_of)), weights, tuple(slots))
+
     @property
     def nnz(self) -> int:
         return len(self.authorship)
@@ -123,6 +147,16 @@ class Assignment:
         object.__setattr__(
             self, "nominee", tuple(j if type(j) is int else _integer(j) for j in self.nominee)
         )
+
+
+def _exact(cost: float) -> int:
+    """``cost * 2**1074`` as an integer.
+
+    Every finite float is a whole multiple of ``2**-1074``, so sums and
+    comparisons of these are exact, as with ``Fraction`` but without its cost.
+    """
+    numerator, denominator = cost.as_integer_ratio()
+    return numerator << (1075 - denominator.bit_length())
 
 
 def _integer(value: object) -> object:

@@ -68,7 +68,7 @@ if TYPE_CHECKING:
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-7
-_PRICE_SCALE = 1 << 1074  # flow._exact's scale
+_PRICE_SCALE = 1 << 1074  # instance._exact's scale
 
 Sense = Literal["<=", ">="]
 SparseRow = list[tuple[int, float]]
@@ -469,7 +469,7 @@ def _certified_assignment(
 def _price_fault(
     instance: Instance, b: int, lam: float | None, holder: list[int], price: list[int]
 ) -> str:
-    """Why exact prices ``c`` (see :func:`.flow._exact`) do not certify ``holder``; "" if they do.
+    """Why exact prices ``c`` (see :func:`._exact`) do not certify ``holder``; "" if they do.
 
     Each paper's holder is one of its authors and no co-author costs less
     (pair reduced costs ``c_k - c_holder(i) >= 0``); every author has ``c_j
@@ -489,7 +489,7 @@ def _price_fault(
                 return f"paper {i}: co-author {k} is priced below its holder {h + 1}"
         load[h] += 1
     extra = None if lam is None else _exact(lam)
-    for j, (c, p, count) in enumerate(zip(price, map(_exact, instance.p), load), start=1):
+    for j, (c, p, count) in enumerate(zip(price, instance._core.weights, load), start=1):
         if c < p:
             return f"author {j}: price {c / _PRICE_SCALE!r} is below p_{j} = {p / _PRICE_SCALE!r}"
         if extra is None and count > b:

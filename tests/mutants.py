@@ -192,9 +192,9 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     ),
     (
         "slot-greedy-takes-slots-by-author",
-        "src/deskrisk/flow.py",
-        "    slots.sort(key=itemgetter(0))\n",
-        "    slots.sort(key=itemgetter(1))\n",
+        "src/deskrisk/instance.py",
+        "        slots = sorted((weight, author, False) for author, weight in enumerate(weights))\n",
+        "        slots = sorted(((w, a, False) for a, w in enumerate(weights)), key=lambda s: s[1])\n",
         ["tests/test_lp.py::TestWarmStart::test_every_feasible_program_certifies_without_a_pivot"],
     ),
     (
@@ -203,6 +203,44 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "                    for held in papers_of[author]:\n",
         "                    for held in reversed(papers_of[author]):\n",
         ["tests/test_flow.py::TestSlotGreedyMatchesReference"],
+    ),
+    (
+        "core-index-shared-by-size",
+        "src/deskrisk/instance.py",
+        "    @cached_property\n    def _core(self) -> _CoreIndex:\n",
+        "    _shared = {}\n\n"
+        "    @property\n    def _core(self) -> _CoreIndex:\n"
+        "        return Instance._shared.setdefault((self.n, self.m), self._own_core)\n\n"
+        "    @cached_property\n    def _own_core(self) -> _CoreIndex:\n",
+        ["tests/test_flow.py::TestCoreIndex::test_each_instance_has_its_own"],
+    ),
+    (
+        "core-index-rebuilt-every-solve",
+        "src/deskrisk/instance.py",
+        "    @cached_property\n    def _core(self) -> _CoreIndex:\n",
+        "    @property\n    def _core(self) -> _CoreIndex:\n",
+        ["tests/test_flow.py::TestCoreIndex::test_solves_on_one_instance_build_it_once"],
+    ),
+    (
+        "slot-greedy-keeps-cursors-across-solves",
+        "src/deskrisk/flow.py",
+        "    cursor = [0] * m  #",
+        '    cursor = instance.__dict__.setdefault("_cursor", [0] * m)  #',
+        ["tests/test_flow.py::TestCoreIndex::test_a_second_sweep_pass_repeats_the_first"],
+    ),
+    (
+        "hall-set-takes-every-paper-of-an-author",
+        "src/deskrisk/flow.py",
+        "                papers.extend(i for i in papers_of[j] if holder[i] == j)\n",
+        "                papers.extend(papers_of[j])\n",
+        ["tests/test_lp.py::TestHallSet"],
+    ),
+    (
+        "closed-sets-pass-prices-through-unheld-papers",
+        "src/deskrisk/flow.py",
+        "                if holder[paper] != k:\n",
+        "                if False:\n",
+        ["tests/test_lp.py::TestWarmStart::test_prices_are_the_cheapest_absorbers"],
     ),
     (
         "hard-lp-drops-integral",

@@ -1,11 +1,17 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from operator import itemgetter
 
 import pytest
-from conftest import conference, edge_cases, random_instance
+from conftest import conference, edge_cases, random_instance, sweep
+from make_golden import sweep_grid
 
+import deskrisk
 from deskrisk import flow
+from deskrisk import instance as instance_module
+from deskrisk.io import report_to_dict
 from deskrisk import (
     Circulation,
     FlowEdge,
@@ -22,6 +28,7 @@ from deskrisk import (
     greedy_assign_basic,
     min_cost_circulation,
     oracle_hard,
+    oracle_soft,
     solve_hard,
     solve_lp,
     solve_soft_exact,
@@ -434,7 +441,9 @@ class TestSlotGreedyMatchesReference:
 
     def assert_same(self, monkeypatch, inst, b, lam):
         expected = _reference_slot_greedy(inst, b, lam)
-        assert flow._slot_greedy(inst, b, lam) == expected
+        # The index keeps tuples where the reference built lists.
+        papers_of, slots, holder = flow._slot_greedy(inst, b, lam)
+        assert ([list(papers) for papers in papers_of], list(slots), holder) == expected
         prices = flow._slot_prices(inst, b, lam)
         with monkeypatch.context() as patch:
             patch.setattr(flow, "_slot_greedy", _reference_slot_greedy)
@@ -466,3 +475,78 @@ class TestSlotGreedyMatchesReference:
             for lam in (None, 0.05, 0.3):
                 feasible = self.assert_same(monkeypatch, inst, b, lam)
                 assert feasible == (b > 3 or lam is not None)
+
+
+def _sweep_reports(inst, points):
+    """``report_to_dict`` of each ``(solver name, b, lambda)`` point, solved on ``inst``."""
+    reports = []
+    for name, b, lam in points:
+        args = (inst, b) if lam is None else (inst, b, lam)
+        assignment, report = getattr(deskrisk, name)(*args)
+        reports.append(report_to_dict(report, assignment))
+    return reports
+
+
+class TestCoreIndex:
+    """Each instance builds the exact core's index once and shares it with no other."""
+
+    def test_solves_on_one_instance_build_it_once(self, monkeypatch):
+        built = []
+
+        def counted(cost):
+            built.append(cost)
+            return exact(cost)
+
+        exact = instance_module._exact
+        monkeypatch.setattr(instance_module, "_exact", counted)
+        inst = replace(conference(42))
+        for _ in range(2):
+            solve_hard(inst, 3)
+            solve_soft_exact(inst, 4, 0.3)
+            deskrisk.solve_soft(inst, 4, 0.3)
+        assert built == list(inst.p)  # one weight per author, once
+
+    def test_each_instance_has_its_own(self):
+        rng = random.Random(48)
+        for _ in range(60):
+            inst = random_instance(rng)
+            b, lam = rng.choice([1, 2, 3]), rng.choice([0.1, 1.0])
+            solve_hard(inst, b)  # the copies below come after its index
+            equal = replace(inst)
+            other = replace(inst, p=tuple(rng.random() for _ in inst.p))
+            assert equal == inst and equal is not inst
+            for case in (inst, equal, other):
+                assert case._core.weights == tuple(map(flow._exact, case.p))
+                expected, (_, report) = oracle_hard(case, b), solve_hard(case, b)
+                if expected is None:
+                    assert report.status is SolveStatus.INFEASIBLE
+                else:
+                    assert report.objective == pytest.approx(expected[1], abs=1e-9)
+                _, report = solve_soft_exact(case, b, lam)
+                assert report.objective == pytest.approx(oracle_soft(case, b, lam)[1], abs=1e-9)
+            assert len({id(inst._core), id(equal._core), id(other._core)}) == 3
+
+    def test_a_second_sweep_pass_repeats_the_first(self):
+        # Per-call state (holders, cursors, search marks) must not outlive a solve.
+        grid = sweep_grid()
+        fresh = [_sweep_reports(replace(sweep()), [point])[0] for point in grid]
+        inst = replace(sweep())
+        for _ in range(2):
+            assert _sweep_reports(inst, grid) == fresh
+        assert sum(report["status"] == "Infeasible" for report in fresh) == 2
+
+    def test_threads_solving_one_instance_agree(self):
+        # Threads may race to build the index; every solve must still see a whole one.
+        grid = sweep_grid()[:14]  # b = 2 and 3: both hard points are Infeasible
+        expected = _sweep_reports(replace(sweep()), grid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                inst = replace(sweep())
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(_sweep_reports, inst, grid) for _ in range(4)]
+                    results = [future.result(timeout=60) for future in futures]
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)

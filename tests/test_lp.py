@@ -604,6 +604,10 @@ class TestWarmStart:
         # closed set.  Author 2's p = 0.6 sets the price of both.
         inst = Instance.from_rows([[1, 2], [1, 2]], p=[0.2, 0.6])
         assert _slot_prices(inst, 1, None) == ([0, 1], [_exact(0.6)] * 2)
+        # Two closed sets.  Author 2 is on paper 1 but author 1 holds it, so
+        # author 2 can pass author 1 nothing, and author 1 keeps its own p.
+        inst = Instance.from_rows([[1, 2], [2]], p=[0.2, 0.6])
+        assert _slot_prices(inst, 1, None) == ([0, 1], [_exact(0.2), _exact(0.6)])
 
     def test_infeasible_hard_program_gives_a_hall_set(self):
         # Three papers do not fit two authors at b = 1.  Paper 3 is left
