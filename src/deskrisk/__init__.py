@@ -14,38 +14,22 @@ Three problem variants over the same instance data:
 
 One module per solving method serves both capped variants: :mod:`.flow`
 holds the exact solvers, one author-slot greedy run straight on the
-instance (see there for why it is exact), and :mod:`.lp` the relaxations,
-whose routes certify that greedy's answer with its own prices, in exact
+instance (see there for why it is exact), and :mod:`.lp` the relaxations'
+routes, which certify that greedy's answer with its own prices, in exact
 integer arithmetic and without numpy.
-The assignment networks of the paper's reduction (:func:`build_hard_network`,
-:func:`build_soft_network`) are an export; :func:`min_cost_circulation`
-solves only networks these builders emit, by reading the instance back and
-running the same greedy.
 
-Brute-force oracles and the one-pass baselines live alongside the real
-solvers so every answer can be cross-checked on small instances.
+``import deskrisk`` loads only what a solve runs: :mod:`.instance`,
+:mod:`.io`, :mod:`.greedy`, :mod:`.flow` and :mod:`.lp`.  The other names
+load with their module on first use (PEP 562): the paper's assignment
+networks (:mod:`.network`), the linear programs and their HiGHS solver
+(:mod:`.program`), the brute-force oracles (:mod:`.oracle`), the one-pass
+baselines (:mod:`.baselines`) and the instance generator (:mod:`.generate`).
+The oracles and baselines cross-check every answer on small instances.
 """
 
-from .baselines import (
-    BaselineResult,
-    greedy_assign_hard,
-    greedy_assign_soft,
-    rand_assign_hard,
-    rand_assign_soft,
-)
-from .flow import (
-    Circulation,
-    FlowEdge,
-    FlowNetwork,
-    MalformedNetworkError,
-    build_hard_network,
-    build_soft_network,
-    check_circulation,
-    min_cost_circulation,
-    solve_hard,
-    solve_soft_exact,
-)
-from .generate import GeneratorSpec, generate
+from importlib import import_module
+
+from .flow import solve_hard, solve_soft_exact
 from .greedy import greedy_assign_basic
 from .instance import (
     Assignment,
@@ -70,27 +54,48 @@ from .io import (
     save_assignment,
     save_instance,
 )
-from .lp import (
-    LinearProgram,
-    LpSolution,
-    LpStatus,
-    build_hard_lp,
-    build_soft_lp,
-    round_soft,
-    solve_hard_lp,
-    solve_lp,
-    solve_soft,
-    solve_soft_relaxed,
-)
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationLimitError,
-    assignment_count,
-    enumerate_assignments,
-    oracle_basic,
-    oracle_hard,
-    oracle_soft,
-)
+from .lp import solve_hard_lp, solve_soft, solve_soft_relaxed
+
+# Module -> the names it gives the package when first used.
+_LAZY = {
+    "baselines": (
+        "BaselineResult", "greedy_assign_hard", "greedy_assign_soft", "rand_assign_hard",
+        "rand_assign_soft",
+    ),
+    "generate": ("GeneratorSpec", "generate"),
+    "network": (
+        "Circulation", "FlowEdge", "FlowNetwork", "MalformedNetworkError", "build_hard_network",
+        "build_soft_network", "check_circulation", "min_cost_circulation",
+    ),
+    "oracle": (
+        "DEFAULT_ENUMERATION_CAP", "EnumerationLimitError", "assignment_count",
+        "enumerate_assignments", "oracle_basic", "oracle_hard", "oracle_soft",
+    ),
+    "program": (
+        "LinearProgram", "LpSolution", "LpStatus", "build_hard_lp", "build_soft_lp", "round_soft",
+        "solve_lp",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str) -> object:
+    """Load the module that defines ``name`` and bind all of its names here.
+
+    All at once, because importing ``.generate`` binds the submodule to the
+    package's ``generate`` until its function replaces it.
+    """
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_HOME[name]}", __name__)
+    for each in _LAZY[_HOME[name]]:
+        globals()[each] = getattr(module, each)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -14,17 +14,11 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .baselines import (
-    BaselineResult,
-    greedy_assign_hard,
-    greedy_assign_soft,
-    rand_assign_hard,
-    rand_assign_soft,
-)
-from .flow import FlowNetwork, build_hard_network, build_soft_network, solve_hard, solve_soft_exact
-from .generate import GeneratorSpec, generate
+import deskrisk
+
+from .flow import solve_hard, solve_soft_exact
 from .greedy import greedy_assign_basic
 from .instance import (
     Assignment,
@@ -43,8 +37,11 @@ from .io import (
     report_to_dict,
     save_instance,
 )
-from .lp import LinearProgram, build_hard_lp, build_soft_lp, solve_hard_lp, solve_soft
-from .oracle import DEFAULT_ENUMERATION_CAP, oracle_basic, oracle_hard, oracle_soft
+from .lp import solve_hard_lp, solve_soft
+
+if TYPE_CHECKING:
+    from .network import FlowNetwork
+    from .program import LinearProgram
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -57,48 +54,59 @@ def _reported(
     """Report an oracle's or a baseline's answer; Infeasible when it has none.
 
     ``found`` is an assignment, an ``(assignment, objective)`` pair, a
-    :class:`BaselineResult` (``err`` means none), or ``None``.  ``soft`` is
-    ``(b, lam)`` for the soft objective.
+    :class:`.baselines.BaselineResult` (``err`` means none), or ``None``.
+    ``soft`` is ``(b, lam)`` for the soft objective.
     """
     if isinstance(found, tuple):
         found = found[0]
-    elif isinstance(found, BaselineResult):
+    elif found is not None and not isinstance(found, Assignment):
         found = None if found.err else found.assignment
     if found is None:
         return None, SolveReport(status=SolveStatus.INFEASIBLE, solver=solver, seed=seed)
     return found, report_for(instance, found, solver, seed, soft)
 
 
+def _cap(args: argparse.Namespace) -> dict[str, int]:
+    """``--cap`` for an oracle; unset, the oracle keeps its own default."""
+    return {} if args.cap is None else {"cap": args.cap}
+
+
 # (variant, algorithm) -> the library call that answers it.  Limits go to the
-# solvers as given; an unset one means the instance's own.
+# solvers as given; an unset one means the instance's own.  Names read off
+# ``deskrisk`` load their module on first use, so the oracle, the baselines,
+# the networks and the programs load only for their own routes and dumps.
 ROUTES: dict[tuple[str, str], Callable[..., tuple[Assignment | None, SolveReport]]] = {
     ("basic", "greedy"): lambda inst, a: greedy_assign_basic(inst, seed=a.seed),
     ("basic", "oracle"): lambda inst, a: _reported(
-        inst, "oracle-basic", oracle_basic(inst, cap=a.cap)
+        inst, "oracle-basic", deskrisk.oracle_basic(inst, **_cap(a))
     ),
     ("hard", "flow"): lambda inst, a: solve_hard(inst, a.b),
     ("hard", "lp"): lambda inst, a: solve_hard_lp(inst, a.b),
     ("hard", "oracle"): lambda inst, a: _reported(
-        inst, "oracle-hard", oracle_hard(inst, a.b, cap=a.cap)
+        inst, "oracle-hard", deskrisk.oracle_hard(inst, a.b, **_cap(a))
     ),
     ("hard", "baseline-rand"): lambda inst, a: _reported(
-        inst, "baseline-rand-hard", rand_assign_hard(inst, a.b, seed=a.seed), a.seed
+        inst, "baseline-rand-hard", deskrisk.rand_assign_hard(inst, a.b, seed=a.seed), a.seed
     ),
     ("hard", "baseline-greedy"): lambda inst, a: _reported(
-        inst, "baseline-greedy-hard", greedy_assign_hard(inst, a.b, seed=a.seed), a.seed
+        inst, "baseline-greedy-hard", deskrisk.greedy_assign_hard(inst, a.b, seed=a.seed), a.seed
     ),
     ("soft", "lp-round"): lambda inst, a: solve_soft(inst, a.b, a.lam),
     ("soft", "exact-flow"): lambda inst, a: solve_soft_exact(inst, a.b, a.lam),
     ("soft", "oracle"): lambda inst, a: _reported(
-        inst, "oracle-soft", oracle_soft(inst, a.b, a.lam, cap=a.cap), soft=(a.b, a.lam)
+        inst, "oracle-soft", deskrisk.oracle_soft(inst, a.b, a.lam, **_cap(a)), soft=(a.b, a.lam)
     ),
     ("soft", "baseline-rand"): lambda inst, a: _reported(
-        inst, "baseline-rand-soft", rand_assign_soft(inst, a.b, seed=a.seed), a.seed, (a.b, a.lam)
+        inst,
+        "baseline-rand-soft",
+        deskrisk.rand_assign_soft(inst, a.b, seed=a.seed),
+        a.seed,
+        (a.b, a.lam),
     ),
     ("soft", "baseline-greedy"): lambda inst, a: _reported(
         inst,
         "baseline-greedy-soft",
-        greedy_assign_soft(inst, a.b, a.lam, seed=a.seed),
+        deskrisk.greedy_assign_soft(inst, a.b, a.lam, seed=a.seed),
         a.seed,
         (a.b, a.lam),
     ),
@@ -108,12 +116,12 @@ ROUTES: dict[tuple[str, str], Callable[..., tuple[Assignment | None, SolveReport
 # (--dump-network), the linear program on the LP routes (--dump-lp).
 EXPORTS: dict[str, dict[tuple[str, str], Callable[..., FlowNetwork | LinearProgram]]] = {
     "network": {
-        ("hard", "flow"): lambda inst, a: build_hard_network(inst, a.b)[0],
-        ("soft", "exact-flow"): lambda inst, a: build_soft_network(inst, a.b, a.lam)[0],
+        ("hard", "flow"): lambda inst, a: deskrisk.build_hard_network(inst, a.b)[0],
+        ("soft", "exact-flow"): lambda inst, a: deskrisk.build_soft_network(inst, a.b, a.lam)[0],
     },
     "lp": {
-        ("hard", "lp"): lambda inst, a: build_hard_lp(inst, a.b)[0],
-        ("soft", "lp-round"): lambda inst, a: build_soft_lp(inst, a.b, a.lam)[0],
+        ("hard", "lp"): lambda inst, a: deskrisk.build_hard_lp(inst, a.b)[0],
+        ("soft", "lp-round"): lambda inst, a: deskrisk.build_soft_lp(inst, a.b, a.lam)[0],
     },
 }
 
@@ -199,12 +207,7 @@ def _add_solve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lambda", dest="lam", type=float, help="penalty weight (overrides the instance file)"
     )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help="enumeration cap for the oracle",
-    )
+    parser.add_argument("--cap", type=int, help="enumeration cap for the oracle")
     parser.add_argument("-o", "--output", help="write report JSON here instead of stdout")
 
 
@@ -220,7 +223,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec(
+    spec = deskrisk.GeneratorSpec(
         n=args.n,
         m=args.m,
         authors_min=args.amin,
@@ -229,7 +232,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         p_high=args.phi,
         seed=args.seed,
     )
-    instance = generate(spec)
+    instance = deskrisk.generate(spec)
     if args.output:
         save_instance(instance, args.output)
     else:
@@ -253,7 +256,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             if route not in builders:
                 names = " and ".join(algorithm for _, algorithm in builders)
                 raise ValueError(f"--dump-{kind} applies to the {names} algorithms")
-            Path(path).write_text(dumps(_model_to_dict(builders[route](instance, args))))
+            Path(path).write_text(dumps(_model_to_dict(kind, builders[route](instance, args))))
     solution, report = ROUTES[route](instance, args)
     text = dumps(report_to_dict(report, solution))
     if args.output:
@@ -270,8 +273,8 @@ def _cmd_import_csv(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _model_to_dict(model: FlowNetwork | LinearProgram) -> dict[str, Any]:
-    if isinstance(model, FlowNetwork):
+def _model_to_dict(kind: str, model: FlowNetwork | LinearProgram) -> dict[str, Any]:
+    if kind == "network":
         return {
             "format": 1,
             "num_vertices": model.num_vertices,

@@ -22,7 +22,6 @@ at once instead of dying on the first.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Any, Callable
@@ -242,6 +241,8 @@ def load_instance_csv(
 
 
 def _csv_rows(path: str | Path):
+    import csv  # only the CSV import reads it
+
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             if not row or all(not cell.strip() for cell in row):

@@ -15,9 +15,10 @@ It writes two files, which ``test_golden.py`` replays:
   the sweep grid (:func:`sweep_grid`).  These are large enough that a change
   in summation order moves some bits.
 
-The LP routes' bytes depend on the HiGHS that scipy ships (scipy 1.17.1 when
-these were written).  Regenerate the files only for an output change that is
-meant, and name it in CHANGES.md.
+No output depends on HiGHS: the LP routes answer with the exact core's
+vertex, checked in exact arithmetic, and ``--dump-lp`` only builds the
+program.  Regenerate the files only for an output change that is meant, and
+name it in CHANGES.md.
 
 In the stored argv, ``{fixtures}`` stands for the directory of the input
 files and ``{dump}`` for the dump file's path.

@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ONE_SEARCH = ["tests/test_oracle.py::TestOneSearch"]
 PRICE_CHECK = "tests/test_lp.py::TestPriceCheck::test_a_broken_certificate_names_its_row"
+LAZY = "tests/test_cli.py::TestLazyLoading"
 
 MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
@@ -122,14 +123,14 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     ),
     (
         "lp-author-rows-list-their-pairs-in-reverse",
-        "src/deskrisk/lp.py",
+        "src/deskrisk/program.py",
         "    by_author = np.argsort(author * nnz + np.arange(nnz))\n",
         "    by_author = np.argsort(author * nnz - np.arange(nnz))\n",
         ["tests/test_lp.py::TestAssignmentForm::test_equals_the_row_list_program"],
     ),
     (
         "soft-rounding-ties-to-the-last-maximum",
-        "src/deskrisk/lp.py",
+        "src/deskrisk/program.py",
         "    pick = np.minimum.reduceat(np.where(x == best, np.arange(len(x)), len(x)), first)\n",
         "    pick = np.maximum.reduceat(np.where(x == best, np.arange(len(x)), -1), first)\n",
         ["tests/test_soft.py::TestRoundSoft"],
@@ -182,6 +183,13 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "    if outside:\n",
         "    if len(outside) > 1:\n",
         ["tests/test_lp.py::TestHallSet"],
+    ),
+    (
+        "hall-check-accepts-a-set-that-fits",
+        "src/deskrisk/lp.py",
+        "    if not len(distinct) > b * len(authors):\n",
+        "    if not len(distinct) >= b * len(authors):\n",
+        ["tests/test_lp.py::TestHallSet::test_papers_that_exactly_fill_their_authors_prove_nothing"],
     ),
     (
         "closed-sets-priced-lowest-first",
@@ -276,6 +284,28 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "import random\n",
         "import random\n\nimport numpy  # noqa: F401\n",
         ["tests/test_cli.py::TestImportBoundary"],
+    ),
+    (
+        "package-imports-the-oracle-eagerly",
+        "src/deskrisk/__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom . import oracle  # noqa: F401\n",
+        [f"{LAZY}::test_import_loads_only_the_solve_path"],
+    ),
+    (
+        "package-binds-only-the-requested-name",
+        "src/deskrisk/__init__.py",
+        "    for each in _LAZY[_HOME[name]]:\n        globals()[each] = getattr(module, each)\n",
+        "    globals()[name] = getattr(module, name)\n",
+        [f"{LAZY}::test_every_public_name_is_its_modules_own_in_any_order"],
+    ),
+    (
+        "cli-imports-a-route-module-at-the-top",
+        "src/deskrisk/cli.py",
+        "from .lp import solve_hard_lp, solve_soft\n",
+        "from .lp import solve_hard_lp, solve_soft\n"
+        "from .baselines import rand_assign_hard  # noqa: F401\n",
+        [f"{LAZY}::test_benchmark_routes_load_only_the_solve_path"],
     ),
 ]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 from conftest import FIXTURES
 
+import deskrisk
 from deskrisk import (
     Assignment,
     basic_objective,
@@ -17,15 +19,34 @@ from deskrisk.cli import run_cli
 
 SRC = FIXTURES.parent / "src"
 
-# Imports a module, optionally runs the CLI, then prints the exit code and
-# every numpy/scipy top-level package left in sys.modules to stderr.
+# Imports a module, optionally runs the CLI, then prints the exit code, every
+# numpy/scipy top-level package and every deskrisk module left in sys.modules
+# to stderr, as JSON.
 IMPORT_PROBE = """
-import importlib, sys
+import importlib, json, sys
 importlib.import_module(sys.argv[1])
-from deskrisk.cli import run_cli
-code = run_cli(sys.argv[2:]) if sys.argv[2:] else 0
+code = 0
+if sys.argv[2:]:
+    from deskrisk.cli import run_cli
+    code = run_cli(sys.argv[2:])
 heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
-print(code, *heavy, file=sys.stderr)
+own = sorted(name for name in sys.modules if name.split(".")[0] == "deskrisk")
+print(json.dumps([code, heavy, own]), file=sys.stderr)
+"""
+
+# Reads the package's public names in the order given on the command line,
+# then prints each name whose object is not its defining module's own.
+NAMES_PROBE = """
+import importlib, sys
+import deskrisk
+got = {name: getattr(deskrisk, name) for name in sys.argv[1:]}
+wrong = []
+for name, value in got.items():
+    # Only the oracle's enumeration cap, an int, has no __module__.
+    home = importlib.import_module(getattr(value, "__module__", "deskrisk.oracle"))
+    if getattr(home, name, None) is not value or getattr(deskrisk, name) is not value:
+        wrong.append(name)
+print(*wrong)
 """
 
 HIGHS_BINDING = "scipy.optimize._highspy._core"
@@ -44,7 +65,7 @@ print(code, "numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"), file
 ORDER_PROBE = """
 import sys
 from deskrisk import LinearProgram, solve_lp
-from deskrisk.lp import _binding
+from deskrisk.program import _binding
 
 def status():
     lp = LinearProgram.minimize([1.0, 2.0])
@@ -98,8 +119,8 @@ def run_probe(module, argv=()):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    code, *heavy = result.stderr.splitlines()[-1].split()
-    return int(code), heavy
+    code, heavy, own = json.loads(result.stderr.splitlines()[-1])
+    return code, heavy, own
 
 
 def read_report(path):
@@ -154,7 +175,7 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("module", ["deskrisk", "deskrisk.cli"])
     def test_import_loads_no_numpy_or_scipy(self, module):
-        assert run_probe(module) == (0, [])
+        assert run_probe(module)[:2] == (0, [])
 
     @pytest.mark.parametrize(
         "argv",
@@ -175,7 +196,7 @@ class TestImportBoundary:
         argv = [argv[0], self.FRAC, *argv[1:]]
         if argv[0] != "validate":
             argv += ["-o", str(tmp_path / "report.json")]
-        assert run_probe("deskrisk.cli", argv) == (0, [])
+        assert run_probe("deskrisk.cli", argv)[:2] == (0, [])
 
     @pytest.mark.parametrize(("given", "seen"), [(None, "1"), ("2", "2")])
     def test_lp_command_loads_numpy_with_one_blas_thread_unless_told(self, given, seen, tmp_path):
@@ -213,6 +234,87 @@ class TestImportBoundary:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["Optimal", "Optimal", "0", "1.0", "True"]
+
+
+SOLVE_PATH = ["deskrisk", "deskrisk.flow", "deskrisk.greedy", "deskrisk.instance", "deskrisk.io",
+              "deskrisk.lp"]
+
+
+def public_name_orders():
+    """Orders in which to read ``__all__``: the generator's two names both ways, and shuffles."""
+    rest = [name for name in deskrisk.__all__ if name not in ("GeneratorSpec", "generate")]
+    orders = [["GeneratorSpec", "generate", *rest], ["generate", "GeneratorSpec", *rest]]
+    for seed in (1, 2):
+        orders.append(random.Random(seed).sample(deskrisk.__all__, len(deskrisk.__all__)))
+    return orders
+
+
+class TestLazyLoading:
+    """``import deskrisk`` and every benchmark route load only the solve path.
+
+    Every other module loads with the first use of one of its names.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--variant", "basic", "--algorithm", "greedy"],
+            ["--variant", "hard", "--b", "1", "--algorithm", "flow"],
+            ["--variant", "hard", "--b", "1", "--algorithm", "lp"],
+            ["--variant", "soft", "--b", "1", "--lambda", "0.5", "--algorithm", "lp-round"],
+            ["--variant", "soft", "--b", "1", "--lambda", "0.5", "--algorithm", "exact-flow"],
+        ],
+        ids=["basic", "hard", "hard_lp", "soft", "soft_exact"],
+    )
+    def test_benchmark_routes_load_only_the_solve_path(self, argv, tmp_path):
+        argv = ["solve", str(FIXTURES / "frac_2x2.json"), *argv, "-o", str(tmp_path / "out.json")]
+        assert run_probe("deskrisk.cli", argv) == (0, [], sorted([*SOLVE_PATH, "deskrisk.cli"]))
+
+    def test_import_loads_only_the_solve_path(self):
+        assert run_probe("deskrisk") == (0, [], SOLVE_PATH)
+
+    @pytest.mark.parametrize(
+        ("argv", "module"),
+        [
+            (["oracle", "{frac}", "--variant", "hard", "--b", "1"], "oracle"),
+            (["solve", "{frac}", "--variant", "hard", "--b", "1", "--algorithm", "baseline-rand",
+              "--seed", "3"], "baselines"),
+            (["solve", "{frac}", "--variant", "hard", "--b", "1", "--algorithm", "flow",
+              "--dump-network", "{dump}"], "network"),
+            (["solve", "{frac}", "--variant", "hard", "--b", "1", "--algorithm", "lp",
+              "--dump-lp", "{dump}"], "program"),
+            (["gen", "--n", "3", "--m", "2", "--amin", "1", "--amax", "2"], "generate"),
+        ],
+        ids=["oracle", "baseline", "dump-network", "dump-lp", "gen"],
+    )
+    def test_other_commands_load_their_own_module(self, argv, module, tmp_path):
+        names = {"frac": FIXTURES / "frac_2x2.json", "dump": tmp_path / "dump.json"}
+        argv = [arg.format(**names) for arg in argv] + ["-o", str(tmp_path / "out.json")]
+        own = run_probe("deskrisk.cli", argv)[2]
+        assert own == sorted([*SOLVE_PATH, "deskrisk.cli", f"deskrisk.{module}"])
+
+    @pytest.mark.parametrize(
+        "order",
+        public_name_orders(),
+        ids=["GeneratorSpec-first", "generate-first", "shuffled-1", "shuffled-2"],
+    )
+    def test_every_public_name_is_its_modules_own_in_any_order(self, order):
+        result = subprocess.run(
+            [sys.executable, "-c", NAMES_PROBE, *order],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
+
+    def test_dir_lists_every_public_name_before_any_loads(self):
+        code = "import deskrisk; print(*sorted(set(deskrisk.__all__) - set(dir(deskrisk))))"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
 
 
 class TestGenCommand:
@@ -264,19 +366,19 @@ class TestSolveCommand:
     def test_missing_highs_binding_leaves_the_lp_routes_working(
         self, variant, monkeypatch, tmp_path, capsys
     ):
-        import deskrisk.lp
+        import deskrisk.program
 
         missing = str(tmp_path / "_core.so")
         monkeypatch.delitem(sys.modules, HIGHS_BINDING, raising=False)
-        monkeypatch.setattr(deskrisk.lp, "_binding_path", lambda: missing)
+        monkeypatch.setattr(deskrisk.program, "_binding_path", lambda: missing)
         out = tmp_path / "report.json"
         argv = ["solve", str(FIXTURES / "frac_2x2.json"), "--b", "1", "--variant", *variant]
         assert run_cli(argv + ["-o", str(out)]) == 0
         assert read_report(out)["status"] == "Optimal"
         assert capsys.readouterr().err == ""
-        lp = deskrisk.lp.build_hard_lp(load_instance(FIXTURES / "frac_2x2.json"), 1)[0]
+        lp = deskrisk.program.build_hard_lp(load_instance(FIXTURES / "frac_2x2.json"), 1)[0]
         with pytest.raises(RuntimeError, match=f"has no HiGHS binding at {re.escape(missing)}$"):
-            deskrisk.lp.solve_lp(lp)
+            deskrisk.program.solve_lp(lp)
 
     def test_hard_lp_reports_one_third_and_integrality_flag(self, tmp_path):
         out = tmp_path / "report.json"

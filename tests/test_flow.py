@@ -9,7 +9,7 @@ from conftest import conference, edge_cases, random_instance, sweep
 from make_golden import sweep_grid
 
 import deskrisk
-from deskrisk import flow
+from deskrisk import flow, network
 from deskrisk import instance as instance_module
 from deskrisk.io import report_to_dict
 from deskrisk import (
@@ -374,7 +374,7 @@ class TestSolvePath:
             raise AssertionError("an exact solver built or solved a flow network")
 
         monkeypatch.setattr(FlowNetwork, "add_edge", refuse)
-        monkeypatch.setattr(flow, "min_cost_circulation", refuse)
+        monkeypatch.setattr(network, "min_cost_circulation", refuse)
         for (inst, b), (hard, soft) in zip(cases, expected):
             assert solve_hard(inst, b) == hard
             assert solve_soft_exact(inst, b, 0.3) == soft

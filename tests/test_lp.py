@@ -25,6 +25,7 @@ from deskrisk import (
     solve_soft_relaxed,
 )
 from deskrisk import lp as lp_module
+from deskrisk import program
 from deskrisk.flow import _exact, _hall_set, _slot_prices
 
 
@@ -133,14 +134,14 @@ class TestSolveLp:
 
     @staticmethod
     def corrupt_backend(monkeypatch, corrupt):
-        real = lp_module._run_highs
+        real = program._run_highs
 
         def run_highs(*args):
             answer = real(*args)
             corrupt(answer)
             return answer
 
-        monkeypatch.setattr(lp_module, "_run_highs", run_highs)
+        monkeypatch.setattr(program, "_run_highs", run_highs)
 
     @staticmethod
     def two_variable_program():
@@ -269,8 +270,8 @@ class TestSolveLp:
         import scipy
 
         missing = tmp_path / "_core.so"
-        monkeypatch.delitem(sys.modules, lp_module._BINDING, raising=False)
-        monkeypatch.setattr(lp_module, "_binding_path", lambda: str(missing))
+        monkeypatch.delitem(sys.modules, program._BINDING, raising=False)
+        monkeypatch.setattr(program, "_binding_path", lambda: str(missing))
         with pytest.raises(RuntimeError) as caught:
             solve_lp(self.two_variable_program())
         assert str(missing) in str(caught.value)
@@ -377,8 +378,8 @@ def refuse_highs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a route called HiGHS")
 
-    monkeypatch.setattr(lp_module, "_run_highs", refuse)
-    monkeypatch.setattr(lp_module, "_binding", refuse)
+    monkeypatch.setattr(program, "_run_highs", refuse)
+    monkeypatch.setattr(program, "_binding", refuse)
 
 
 class TestAssignmentVertices:
@@ -506,8 +507,8 @@ class TestPriceCheck:
             if price is None:
                 continue
             assert lp_module._price_fault(inst, b, lam, holder, price) == "", (source, b, lam)
-            form = lp_module._assignment_form(inst, b, lam, soft)
-            author, lengths = lp_module._pairs(inst)
+            form = program._assignment_form(inst, b, lam, soft)
+            author, lengths = program._pairs(inst)
             held = np.asarray(holder)
             x = (author == np.repeat(held, lengths)).astype(float)
             if soft:
@@ -516,8 +517,8 @@ class TestPriceCheck:
             row_dual = np.concatenate((np.asarray(inst.p) - cost, cost[held]))
             reduced = form.c - np.bincount(form.col, form.value * row_dual[form.row])
             objective = float(np.sum(form.c * x))
-            answer = lp_module._Answer(LpStatus.OPTIMAL, "", 0, objective, x, row_dual, reduced)
-            assert lp_module._certify(form, answer)[0] == "", (source, b, lam)
+            answer = program._Answer(LpStatus.OPTIMAL, "", 0, objective, x, row_dual, reduced)
+            assert program._certify(form, answer)[0] == "", (source, b, lam)
             checked += 1
         assert checked > 300
 
@@ -559,7 +560,7 @@ class TestWarmStart:
     def test_start_changes_no_answer(self, soft):
         statuses = set()
         for source, inst, b, lam in cross_check_cases(soft):
-            solution = solve_lp(lp_module._assignment_form(inst, b, lam, soft))
+            solution = solve_lp(program._assignment_form(inst, b, lam, soft))
             if soft:
                 report = solve_soft_relaxed(inst, b, lam)[1]
             else:
@@ -569,7 +570,7 @@ class TestWarmStart:
                 assert solution.status is LpStatus.INFEASIBLE, (source, b)
                 continue
             assert solution.status is LpStatus.OPTIMAL, (source, b, lam, solution.message)
-            assert abs(solution.objective - report.objective) <= lp_module.OPTIMALITY_TOL
+            assert abs(solution.objective - report.objective) <= program.OPTIMALITY_TOL
         # Every soft program is feasible; some hard ones are not.
         assert statuses == ({LpStatus.OPTIMAL} if soft else {LpStatus.OPTIMAL, LpStatus.INFEASIBLE})
 
@@ -673,6 +674,12 @@ class TestHallSet:
         assert lp_module._hall_fault(inst, 1, [2, 0, 1], {0, 1}) == ""
         assert lp_module._hall_fault(inst, 2, [2, 0, 1], {0, 1}) == "3 papers fit 2 authors at b = 2"
 
+    def test_papers_that_exactly_fill_their_authors_prove_nothing(self):
+        # |S| = b * |A|: both papers fit author 1 at b = 2.
+        inst = Instance.from_rows([[1], [1]], p=[0.5])
+        assert lp_module._hall_fault(inst, 2, [0, 1], {0}) == "2 papers fit 1 authors at b = 2"
+        assert lp_module._hall_fault(inst, 1, [0, 1], {0}) == ""
+
 
 def _reference_assignment_lp(instance, b, lam):
     """The relaxation built as first written, kept frozen to check the array builder.
@@ -724,11 +731,11 @@ class TestAssignmentForm:
     def test_equals_the_row_list_program(self, lam):
         for source, inst in self.cases():
             for b in (1, 2, 3, 5):
-                form = lp_module._assignment_form(inst, b, lam, soft=lam is not None)
-                reference = lp_module._solver_form(_reference_assignment_lp(inst, b, lam))
+                form = program._assignment_form(inst, b, lam, soft=lam is not None)
+                reference = program._solver_form(_reference_assignment_lp(inst, b, lam))
                 assert_same_form(form, reference, (source, b))
                 view = build_hard_lp(inst, b)[0] if lam is None else build_soft_lp(inst, b, lam)[0]
-                assert_same_form(form, lp_module._solver_form(view), (source, b))
+                assert_same_form(form, program._solver_form(view), (source, b))
 
     def test_routes_build_no_linear_program(self, monkeypatch):
         cases = [(conference(42), 5), (Instance.from_rows([[1]] * 5, p=[0.1]), 2)]
@@ -741,7 +748,7 @@ class TestAssignmentForm:
         for name in ("__init__", "add_eq", "add_ineq"):
             monkeypatch.setattr(LinearProgram, name, refuse)
         for name in ("_solver_form", "_assignment_form", "_certify"):
-            monkeypatch.setattr(lp_module, name, refuse)
+            monkeypatch.setattr(program, name, refuse)
         refuse_highs(monkeypatch)
         for (inst, b), (hard, soft) in zip(cases, expected):
             assert solve_hard_lp(inst, b) == hard
