@@ -23,7 +23,7 @@ integer arithmetic and without numpy.
 load with their module on first use (PEP 562): the paper's assignment
 networks (:mod:`.network`), the linear programs and their HiGHS solver
 (:mod:`.program`), the brute-force oracles (:mod:`.oracle`), the one-pass
-baselines (:mod:`.baselines`) and the instance generator (:mod:`.generate`).
+baselines (:mod:`.baselines`) and the instance generator (:mod:`.generator`).
 The oracles and baselines cross-check every answer on small instances.
 """
 
@@ -62,7 +62,7 @@ _LAZY = {
         "BaselineResult", "greedy_assign_hard", "greedy_assign_soft", "rand_assign_hard",
         "rand_assign_soft",
     ),
-    "generate": ("GeneratorSpec", "generate"),
+    "generator": ("GeneratorSpec", "generate"),
     "network": (
         "Circulation", "FlowEdge", "FlowNetwork", "MalformedNetworkError", "build_hard_network",
         "build_soft_network", "check_circulation", "min_cost_circulation",
@@ -80,17 +80,16 @@ _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str) -> object:
-    """Load the module that defines ``name`` and bind all of its names here.
+    """Load the module that defines ``name`` and bind ``name`` here.
 
-    All at once, because importing ``.generate`` binds the submodule to the
-    package's ``generate`` until its function replaces it.
+    No lazy module shares a name with a public name, so importing one, as
+    ``import deskrisk.generator`` does, binds nothing a user reads.
     """
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = import_module(f".{_HOME[name]}", __name__)
-    for each in _LAZY[_HOME[name]]:
-        globals()[each] = getattr(module, each)
-    return globals()[name]
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:
@@ -99,59 +98,12 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "BaselineResult",
-    "Circulation",
-    "DEFAULT_ENUMERATION_CAP",
-    "EnumerationLimitError",
-    "FlowEdge",
-    "FlowNetwork",
-    "FormatError",
-    "FractionalSolution",
-    "GeneratorSpec",
-    "Instance",
-    "InvalidAssignmentError",
-    "InvalidInstanceError",
-    "LinearProgram",
-    "LpSolution",
-    "LpStatus",
-    "MalformedNetworkError",
-    "SolveReport",
-    "SolveStatus",
-    "assignment_count",
-    "author_loads",
-    "basic_objective",
-    "build_hard_lp",
-    "build_hard_network",
-    "build_soft_lp",
-    "build_soft_network",
-    "check_circulation",
-    "enumerate_assignments",
-    "fractional_loads",
-    "generate",
-    "greedy_assign_basic",
-    "greedy_assign_hard",
-    "greedy_assign_soft",
-    "load_assignment",
-    "load_instance",
-    "load_instance_csv",
-    "min_cost_circulation",
-    "oracle_basic",
-    "oracle_hard",
-    "oracle_soft",
-    "rand_assign_hard",
-    "rand_assign_soft",
-    "require_valid",
-    "round_soft",
-    "save_assignment",
-    "save_instance",
-    "soft_objective",
-    "solve_hard",
-    "solve_hard_lp",
-    "solve_lp",
-    "solve_soft",
-    "solve_soft_exact",
-    "solve_soft_relaxed",
-    "validate",
-]
+# The names imported above and every lazy one, so _LAZY alone lists the latter.
+__all__ = sorted([
+    "Assignment", "FormatError", "FractionalSolution", "Instance", "InvalidAssignmentError",
+    "InvalidInstanceError", "SolveReport", "SolveStatus", "author_loads", "basic_objective",
+    "fractional_loads", "greedy_assign_basic", "load_assignment", "load_instance",
+    "load_instance_csv", "require_valid", "save_assignment", "save_instance", "soft_objective",
+    "solve_hard", "solve_hard_lp", "solve_soft", "solve_soft_exact", "solve_soft_relaxed",
+    "validate", *_HOME,
+])

@@ -17,7 +17,8 @@ extend to an unassigned paper.  A failed search proves that no author it
 visited can ever gain a paper, so those authors are skipped from then on.
 Paths move papers between holders but never unassign one, so a cursor per
 author finds its first unassigned paper in O(nnz) over the whole run, and
-the search stops at the first author it reaches that has one.
+the search stops at the first author it reaches that has one; a slot
+searches only once a walk from its own author's cursor finds none.
 Weights are compared exactly, and every flow value is an integer.  The
 soft penalty's two slopes are two kinds of slot per author: the first ``b``
 weigh ``p_j`` and the rest ``p_j + lam``, so the same greedy gives the
@@ -63,12 +64,17 @@ def _slot_greedy(
     ``lam``, merged in.  ``b`` and ``lam`` must already be resolved and the
     instance valid.
 
-    The search checks each author for an unassigned paper as it reaches it.
-    Authors are scanned in the order reached, so this stops at the author,
-    paper and path where checking each paper as it is scanned would: the
-    first author reached that has one, and its first.  Along the path each
-    author takes the paper it reached the next one through.  A failed search
-    kills every author it reached; ``reached`` holds a search number or ``dead``.
+    A search from an author with an unassigned paper ends at once on it, so
+    a slot first takes its author's unassigned papers in one walk from the
+    author's cursor, and searches only for the room the walk leaves.  The
+    search checks each author for an unassigned paper as it reaches it,
+    advancing its cursor.  Authors are scanned in the order reached, so this
+    stops at the author, paper and path where checking each paper as it is
+    scanned would: the first author reached that has one, and its first.
+    Along the path each author takes the paper it reached the next one
+    through.  A failed search kills every author it reached (``reached``
+    holds a search number or ``dead``), and a dead author's slots take
+    nothing, as no slot does once every paper is assigned.
     """
     n, m = instance.n, instance.m
     papers_of, _, slots = instance._core
@@ -84,47 +90,52 @@ def _slot_greedy(
     dead = n + m + 1  # each search assigns a paper or kills its start
     search = assigned = 0
 
-    def free_paper(author: int) -> int:
-        papers = papers_of[author]
-        at, end = cursor[author], len(papers)
-        while at < end and holder[papers[at]] >= 0:
-            at += 1
-        cursor[author] = at
-        return papers[at] if at < end else -1
-
     for _, start, over in slots:
+        if reached[start] == dead:
+            continue
         room = n if over else b
-        while room and assigned < n and reached[start] < dead:
-            end = start
-            paper = free_paper(start)
-            if paper < 0:
-                search += 1
-                reached[start] = search
-                queue = [start]
-                for author in queue:
-                    for held in papers_of[author]:
-                        other = holder[held]
-                        if reached[other] < search:
-                            reached[other] = search
-                            gives[other] = held
-                            parent[other] = author
-                            paper = free_paper(other)
-                            if paper >= 0:
-                                end = other
-                                break
-                            queue.append(other)
-                    if paper >= 0:
-                        break
+        own, at, stop = papers_of[start], cursor[start], len(papers_of[start])
+        while room and at < stop:
+            if holder[own[at]] < 0:
+                holder[own[at]] = start
+                room -= 1
+                assigned += 1
+            at += 1
+        cursor[start] = at
+        while room and assigned < n:
+            search += 1
+            reached[start] = search
+            queue = [start]
+            for author in queue:
+                for held in papers_of[author]:
+                    end = holder[held]
+                    if reached[end] < search:
+                        reached[end] = search
+                        gives[end] = held
+                        parent[end] = author
+                        own, at = papers_of[end], cursor[end]
+                        stop = len(own)
+                        while at < stop and holder[own[at]] >= 0:
+                            at += 1
+                        cursor[end] = at
+                        if at < stop:
+                            break
+                        queue.append(end)
                 else:
-                    for author in queue:
-                        reached[author] = dead
-                    break
-            holder[paper] = end
+                    continue
+                break  # end has an unassigned paper, own[at]
+            else:
+                for author in queue:
+                    reached[author] = dead
+                break
+            holder[own[at]] = end
             while end != start:
                 paper, end = gives[end], parent[end]
                 holder[paper] = end
             room -= 1
             assigned += 1
+        if assigned == n:
+            break
     return papers_of, slots, holder
 
 
@@ -133,7 +144,7 @@ def _assign_by_slots(instance: Instance, b: int, lam: float | None) -> Assignmen
     holder = _slot_greedy(instance, b, lam)[2]
     if -1 in holder:
         return None
-    return Assignment(nominee=tuple(author + 1 for author in holder))
+    return Assignment(nominee=tuple([h + 1 for h in holder]))
 
 
 def _slot_prices(

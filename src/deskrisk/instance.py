@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
+from operator import contains
 from typing import Iterable, Mapping, NamedTuple
 
 _NAMED_PAPERS = 100  # validate names this many papers without authors, then counts the rest
@@ -144,9 +145,10 @@ class Assignment:
     nominee: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nominee", tuple(j if type(j) is int else _integer(j) for j in self.nominee)
-        )
+        nominee = tuple(self.nominee)
+        if not set(map(type, nominee)) <= {int}:
+            nominee = tuple(map(_integer, nominee))
+        object.__setattr__(self, "nominee", nominee)
 
 
 def _exact(cost: float) -> int:
@@ -368,8 +370,12 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
         raise InvalidAssignmentError(
             f"assignment has {len(assignment.nominee)} nominees, expected n={instance.n}"
         )
-    for i, j in enumerate(assignment.nominee, start=1):
-        if type(j) is not int or j not in instance.rows[i - 1]:
+    # One pass at C speed; the loop below only names the first fault it found.
+    nominee, rows = assignment.nominee, instance.rows
+    if set(map(type, nominee)) <= {int} and all(map(contains, rows, nominee)):
+        return
+    for i, (row, j) in enumerate(zip(rows, nominee), start=1):
+        if type(j) is not int or j not in row:
             raise InvalidAssignmentError(f"paper {i} nominates non-author {j!r}")
 
 
@@ -399,11 +405,8 @@ def soft_objective(
     ``penalty`` charges ``lam`` per nomination beyond ``b`` on any single
     author.  ``b`` and ``lam`` are resolved by :func:`resolve_limits`.
     """
-    b, lam = resolve_limits(instance, b, lam, soft=True)
-    check_assignment(instance, assignment)
-    expected = _expected_rejections(instance, assignment)
-    penalty = _overload_penalty(_count_loads(instance, assignment), b, lam)
-    return expected + penalty, expected, penalty
+    report = report_for(instance, assignment, "", soft=(b, lam))
+    return report.objective, report.expected_rejections, report.penalty
 
 
 def report_for(
@@ -425,7 +428,8 @@ def report_for(
     loads = _count_loads(instance, assignment)
     penalty = 0.0
     if limits is not None:
-        penalty = _overload_penalty(loads, *limits)
+        b, lam = limits
+        penalty = lam * sum(load - b for load in loads if load > b)
         objective = expected + penalty
     return SolveReport(
         status=SolveStatus.OPTIMAL,
@@ -452,14 +456,6 @@ def _count_loads(instance: Instance, assignment: Assignment) -> list[int]:
     for j in assignment.nominee:
         loads[j - 1] += 1
     return loads
-
-
-def _overload_penalty(loads: list[int], b: int, lam: float) -> float:
-    over = 0
-    for load in loads:
-        if load > b:
-            over += load - b
-    return lam * over
 
 
 def fractional_loads(instance: Instance, solution: FractionalSolution) -> list[float]:

@@ -58,7 +58,7 @@ def _certified_assignment(
     fault = _price_fault(instance, b, lam, holder, price)
     if fault:
         raise RuntimeError(f"{'soft' if soft else 'hard'} relaxation failed its certificate: {fault}")
-    return Assignment(nominee=tuple(h + 1 for h in holder))
+    return Assignment(nominee=tuple([h + 1 for h in holder]))
 
 
 def _price_fault(
@@ -75,12 +75,13 @@ def _price_fault(
     (Ahuja, Magnanti & Orlin 1993, ch. 9).  Names the first failing paper, then author.
     """
     load = [0] * instance.m
+    cost = [0, *price]  # cost[k] is author k's price, 1-based as the rows are
     for i, (row, h) in enumerate(zip(instance.rows, holder), start=1):
         if h + 1 not in row:
             return f"paper {i}: holder {h + 1} is not one of its authors"
         floor = price[h]
         for k in row:
-            if price[k - 1] < floor:
+            if cost[k] < floor:
                 return f"paper {i}: co-author {k} is priced below its holder {h + 1}"
         load[h] += 1
     extra = None if lam is None else _exact(lam)

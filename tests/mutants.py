@@ -101,6 +101,13 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_instance.py", "-k", "huge_integers"],
     ),
     (
+        "assignment-check-takes-an-integral-float",
+        "src/deskrisk/instance.py",
+        "    if set(map(type, nominee)) <= {int} and all(map(contains, rows, nominee)):\n",
+        "    if all(map(contains, rows, nominee)):\n",
+        ["tests/test_instance.py::TestAuthorLoads::test_non_integer_nominee_rejected[integral-float]"],
+    ),
+    (
         "report-loads-unchecked",
         "src/deskrisk/io.py",
         '    loads = _report_field(obj, "loads", "a list of integers", _is_integer_list)\n',
@@ -166,7 +173,7 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "price-check-skips-the-pair-test",
         "src/deskrisk/lp.py",
-        "            if price[k - 1] < floor:\n",
+        "            if cost[k] < floor:\n",
         "            if False:\n",
         [f"{PRICE_CHECK}[cheaper-co-author]"],
     ),
@@ -208,8 +215,8 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "slot-greedy-scans-papers-in-reverse",
         "src/deskrisk/flow.py",
-        "                    for held in papers_of[author]:\n",
-        "                    for held in reversed(papers_of[author]):\n",
+        "                for held in papers_of[author]:\n",
+        "                for held in reversed(papers_of[author]):\n",
         ["tests/test_flow.py::TestSlotGreedyMatchesReference"],
     ),
     (
@@ -235,6 +242,13 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "    cursor = [0] * m  #",
         '    cursor = instance.__dict__.setdefault("_cursor", [0] * m)  #',
         ["tests/test_flow.py::TestCoreIndex::test_a_second_sweep_pass_repeats_the_first"],
+    ),
+    (
+        "slot-walk-takes-a-held-paper",
+        "src/deskrisk/flow.py",
+        "            if holder[own[at]] < 0:\n",
+        "            if True:\n",
+        ["tests/test_flow.py::TestSlotGreedyMatchesReference"],
     ),
     (
         "hall-set-takes-every-paper-of-an-author",
@@ -291,13 +305,6 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "from importlib import import_module\n",
         "from importlib import import_module\n\nfrom . import oracle  # noqa: F401\n",
         [f"{LAZY}::test_import_loads_only_the_solve_path"],
-    ),
-    (
-        "package-binds-only-the-requested-name",
-        "src/deskrisk/__init__.py",
-        "    for each in _LAZY[_HOME[name]]:\n        globals()[each] = getattr(module, each)\n",
-        "    globals()[name] = getattr(module, name)\n",
-        [f"{LAZY}::test_every_public_name_is_its_modules_own_in_any_order"],
     ),
     (
         "cli-imports-a-route-module-at-the-top",

@@ -283,7 +283,7 @@ class TestLazyLoading:
               "--dump-network", "{dump}"], "network"),
             (["solve", "{frac}", "--variant", "hard", "--b", "1", "--algorithm", "lp",
               "--dump-lp", "{dump}"], "program"),
-            (["gen", "--n", "3", "--m", "2", "--amin", "1", "--amax", "2"], "generate"),
+            (["gen", "--n", "3", "--m", "2", "--amin", "1", "--amax", "2"], "generator"),
         ],
         ids=["oracle", "baseline", "dump-network", "dump-lp", "gen"],
     )
@@ -315,6 +315,23 @@ class TestLazyLoading:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
+
+    @pytest.mark.parametrize(
+        "first", ["import deskrisk.generator", "from deskrisk.generator import GeneratorSpec"]
+    )
+    def test_importing_the_generator_module_leaves_generate_a_function(self, first):
+        code = (
+            f"{first}\nimport deskrisk\n"
+            "print(type(deskrisk.generate).__name__, type(deskrisk.generator).__name__)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["function", "module"]
+
+    def test_no_lazy_module_shares_a_public_name(self):
+        assert not set(deskrisk._LAZY) & set(deskrisk.__all__)
 
 
 class TestGenCommand:

@@ -5,7 +5,7 @@ from dataclasses import replace
 from operator import itemgetter
 
 import pytest
-from conftest import conference, edge_cases, random_instance, sweep
+from conftest import SWEEP_B, SWEEP_LAMBDA, conference, edge_cases, random_instance, sweep
 from make_golden import sweep_grid
 
 import deskrisk
@@ -473,6 +473,15 @@ class TestSlotGreedyMatchesReference:
         inst = conference(seed)
         for b in (3, 4, 5):
             for lam in (None, 0.05, 0.3):
+                feasible = self.assert_same(monkeypatch, inst, b, lam)
+                assert feasible == (b > 3 or lam is not None)
+
+    def test_sweep(self, monkeypatch):
+        # The benchmark sweep's own inputs: b = 2 and 3 leave 100 authors too
+        # few slots for 400 papers.
+        inst = sweep()
+        for b in SWEEP_B:
+            for lam in (None, *SWEEP_LAMBDA):
                 feasible = self.assert_same(monkeypatch, inst, b, lam)
                 assert feasible == (b > 3 or lam is not None)
 

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from conftest import random_instance
+from conftest import conference, random_instance
 
 from deskrisk import (
     Assignment,
@@ -255,6 +255,24 @@ class TestAuthorLoads:
         assert assignment.nominee == (nominee,)
         with pytest.raises(InvalidAssignmentError, match="non-author"):
             author_loads(inst, assignment)
+
+    def test_conference_assignment_names_its_first_bad_nominee(self):
+        inst = conference(42)
+        nominee = [row[0] for row in inst.rows]
+        assert sum(author_loads(inst, Assignment(nominee=tuple(nominee)))) == inst.n
+        for paper in (700, 1500):  # the message names the first
+            row = inst.rows[paper - 1]
+            nominee[paper - 1] = next(j for j in range(1, inst.m + 1) if j not in row)
+        with pytest.raises(InvalidAssignmentError, match=r"^paper 700 nominates non-author \d+$"):
+            author_loads(inst, Assignment(nominee=tuple(nominee)))
+
+    def test_conference_assignment_takes_a_numpy_nominee(self):
+        np = pytest.importorskip("numpy")
+        inst = conference(42)
+        plain = tuple(row[-1] for row in inst.rows)
+        assignment = Assignment(nominee=(*plain[:-1], np.int64(plain[-1])))
+        assert assignment.nominee == plain and type(assignment.nominee[-1]) is int
+        assert author_loads(inst, assignment) == author_loads(inst, Assignment(nominee=plain))
 
     def test_wrong_length_rejected(self):
         inst = Instance.from_rows([[1], [1]], p=[0.5])
