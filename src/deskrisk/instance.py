@@ -7,10 +7,12 @@ through the evaluators in this module, never copied out of solver internals.
 
 Papers and authors are numbered starting at 1, matching the on-disk JSON
 format.  All types are immutable after construction and all functions here
-are pure.  An instance builds what it derives from its fields (its rows,
-its violations, the exact core's index) once, on first use, and never
+are pure.  An instance builds what it derives from its fields (its rows or
+pairs, its violations, the exact core's index) once, on first use, and never
 changes it; threads that race to build one build equal values, so instances
-and assignments can be shared freely across threads.
+and assignments can be shared freely across threads.  Rows are the stored
+form of an instance from :meth:`Instance.from_rows`, which the JSON loader
+uses; its pairs are derived on first read, and no solve route reads them.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
-from operator import contains
+from itertools import chain, islice, repeat
+from operator import contains, itemgetter, lt
 from typing import Iterable, Mapping, NamedTuple
 
 _NAMED_PAPERS = 100  # validate names this many papers without authors, then counts the rest
@@ -66,7 +68,8 @@ class Instance:
 
     A number in ``p`` or ``lam`` becomes a ``float``; a bool, numpy's
     included, or a value that is no number or too large for a float stays
-    as given, for :func:`validate` to name.
+    as given, for :func:`validate` to name.  An instance from :meth:`from_rows`
+    stores its rows and derives ``authorship`` from them on first read.
     """
 
     n: int
@@ -95,14 +98,28 @@ class Instance:
     ) -> "Instance":
         """Build an instance from per-paper author lists.
 
-        ``m`` defaults to ``len(p)``.
+        ``m`` defaults to ``len(p)``.  Clean rows (every entry an ``int``, each
+        row strictly ascending) become the stored ``rows``, and ``authorship``
+        is derived from them on first read, so ``==``, ``hash`` and pickling see
+        the same fields.  Other rows (a bool, a numpy integer, an unsorted or
+        repeated author) become pairs, as :class:`Instance` takes them.
         """
-        pairs: list[tuple[int, int]] = []
-        n = 0
-        for n, row in enumerate(papers, start=1):
-            pairs.extend((n, j) for j in row)
+        rows = tuple(map(tuple, papers))
         p = tuple(p)
-        return cls(n=n, m=len(p) if m is None else m, authorship=tuple(pairs), p=p, b=b, lam=lam)
+        m = len(p) if m is None else m
+        clean = _clean(rows)
+        instance = cls(len(rows), m, () if clean else _pairs(rows), p, b, lam)
+        if clean:  # no pairs until something reads them (see __getattr__)
+            del instance.__dict__["authorship"]
+            instance.__dict__.update(rows=rows, _clean_rows=True)
+        return instance
+
+    def __getattr__(self, name: str) -> object:
+        """``authorship`` of an instance built from clean rows, derived and kept on first read."""
+        if name != "authorship" or not self.__dict__.get("_clean_rows"):
+            raise AttributeError(name)
+        object.__setattr__(self, name, _pairs(self.rows))
+        return self.__dict__[name]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -127,15 +144,17 @@ class Instance:
         It depends on the instance alone, never on ``b``, ``lam`` or a solve.
         """
         papers_of: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j in self.authorship:
-            papers_of[j - 1].append(i - 1)
+        for i, row in enumerate(self.rows):
+            for j in row:
+                papers_of[j - 1].append(i)
         weights = tuple(map(_exact, self.p))
         slots = sorted((weight, author, False) for author, weight in enumerate(weights))
         return _CoreIndex(tuple(map(tuple, papers_of)), weights, tuple(slots))
 
     @property
     def nnz(self) -> int:
-        return len(self.authorship)
+        pairs = self.__dict__.get("authorship")
+        return sum(map(len, self.rows)) if pairs is None else len(pairs)
 
 
 @dataclass(frozen=True)
@@ -181,6 +200,17 @@ def _number(value: object) -> object:
         return float(value)
     except (TypeError, OverflowError):
         return value
+
+
+def _clean(rows: tuple[tuple, ...]) -> bool:
+    """Every entry an ``int`` and every row strictly ascending, checked at C speed."""
+    ascending = map(all, map(map, repeat(lt), rows, map(itemgetter(slice(1, None)), rows)))
+    return set(map(type, chain.from_iterable(rows))) <= {int} and all(ascending)
+
+
+def _pairs(rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """The ``(paper, author)`` pairs of per-paper rows, in row order."""
+    return tuple((i, j) for i, row in enumerate(rows, start=1) for j in row)
 
 
 def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, ...]:
@@ -253,31 +283,36 @@ def _find_violations(instance: Instance) -> list[str]:
     # A count that is not one gives an empty range, as n = 0 does.
     n = 0 if n_problem else instance.n
     m = 0 if m_problem else instance.m
-    # The authorship is sorted, so equal pairs are adjacent, and the runs of
-    # papers the pairs skip have no authors: no flag per paper, for a huge n.
-    previous = None
-    uncovered: list[range] = []
-    unseen = 1  # the first paper no pair has named yet
-    for pair in instance.authorship:
-        i, j = pair
-        if not type(i) is int is type(j):
-            violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) must hold integers")
-            continue
-        if not (1 <= i <= n) or not (1 <= j <= m):
-            violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) out of range")
-            continue
-        if pair == previous:
-            violations.append(f"duplicate authorship pair ({i}, {j})")
-        previous = pair
-        if i > unseen:
-            uncovered.append(range(unseen, i))
-        unseen = i + 1
-    uncovered.append(range(unseen, n + 1))
-    named = list(islice(chain.from_iterable(uncovered), _NAMED_PAPERS))
-    violations.extend(f"paper {i} has no authors" for i in named)
-    more = sum(run.stop - run.start for run in uncovered) - len(named)
-    if more:
-        violations.append(f"… and {more} more papers have no authors")
+    # Clean rows (see Instance.from_rows) break nothing the loop below names when
+    # every row has an author, its first at least 1 and its last at most m.
+    rows = instance.rows if instance.__dict__.get("_clean_rows") else ()
+    first, last = map(itemgetter(0), rows), map(itemgetter(-1), rows)
+    if not (rows and all(rows) and min(first) >= 1 and max(last) <= m):
+        # The authorship is sorted, so equal pairs are adjacent, and the runs of
+        # papers the pairs skip have no authors: no flag per paper, for a huge n.
+        previous = None
+        uncovered: list[range] = []
+        unseen = 1  # the first paper no pair has named yet
+        for pair in instance.authorship:
+            i, j = pair
+            if not type(i) is int is type(j):
+                violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) must hold integers")
+                continue
+            if not (1 <= i <= n) or not (1 <= j <= m):
+                violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) out of range")
+                continue
+            if pair == previous:
+                violations.append(f"duplicate authorship pair ({i}, {j})")
+            previous = pair
+            if i > unseen:
+                uncovered.append(range(unseen, i))
+            unseen = i + 1
+        uncovered.append(range(unseen, n + 1))
+        named = list(islice(chain.from_iterable(uncovered), _NAMED_PAPERS))
+        violations.extend(f"paper {i} has no authors" for i in named)
+        more = sum(run.stop - run.start for run in uncovered) - len(named)
+        if more:
+            violations.append(f"… and {more} more papers have no authors")
     if len(instance.p) != instance.m:
         violations.append(f"p has length {len(instance.p)}, expected m={_shown(instance.m)}")
     for j, pj in enumerate(instance.p, start=1):

@@ -141,7 +141,7 @@ def solve_soft_relaxed(
     b, lam = resolve_limits(instance, b, lam, soft=True)
     assignment = _certified_assignment(instance, b, lam, soft=True)
     nominee = assignment.nominee
-    x = {(i, j): float(nominee[i - 1] == j) for i, j in instance.authorship}
+    x = {(i, j): float(nominee[i - 1] == j) for i, row in enumerate(instance.rows, 1) for j in row}
     report = report_for(instance, assignment, "soft-lp", soft=(b, lam))
     y = tuple(float(max(0, load - b)) for load in report.loads)
     return FractionalSolution(x, y), replace(report, loads=None)

@@ -75,8 +75,8 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "validate-skips-duplicate-pairs",
         "src/deskrisk/instance.py",
-        "        if pair == previous:\n",
-        "        if False:\n",
+        "            if pair == previous:\n",
+        "            if False:\n",
         ["tests/test_instance.py", "-k", "duplicate"],
     ),
     (
@@ -108,6 +108,21 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_instance.py::TestAuthorLoads::test_non_integer_nominee_rejected[integral-float]"],
     ),
     (
+        # Every entry is an int when the comparison runs, so int.__le__ is <=.
+        "from-rows-keeps-rows-with-a-repeated-author",
+        "src/deskrisk/instance.py",
+        "map(map, repeat(lt), rows,",
+        "map(map, repeat(int.__le__), rows,",
+        ["tests/test_instance.py::TestFromRows::test_repeated_author_is_named"],
+    ),
+    (
+        "clean-rows-validation-skips-the-author-bound",
+        "src/deskrisk/instance.py",
+        " and max(last) <= m):\n",
+        "):\n",
+        ["tests/test_instance.py::TestFromRows::test_clean_rows_name_what_their_pairs_name"],
+    ),
+    (
         "report-loads-unchecked",
         "src/deskrisk/io.py",
         '    loads = _report_field(obj, "loads", "a list of integers", _is_integer_list)\n',
@@ -115,10 +130,17 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         ["tests/test_io.py::TestAssignmentAndReportJson", "-k", "malformed_report_field"],
     ),
     (
+        "instance-shape-check-skips-element-types",
+        "src/deskrisk/io.py",
+        "    if set(map(type, papers)) - {list} or set(map(type, chain.from_iterable(papers))) - {int}:\n",
+        "    if set(map(type, papers)) - {list}:\n",
+        ["tests/test_io.py::TestInstanceJson::test_first_bad_row_is_named"],
+    ),
+    (
         "validate-allocates-a-flag-per-paper",
         "src/deskrisk/instance.py",
-        "    uncovered.append(range(unseen, n + 1))\n",
-        "    uncovered.append(range(unseen, n + 1))\n    [False] * n\n",
+        "        uncovered.append(range(unseen, n + 1))\n",
+        "        uncovered.append(range(unseen, n + 1))\n        [False] * n\n",
         ["tests/test_instance.py", "-k", "huge_paper_count"],
     ),
     (

@@ -220,6 +220,48 @@ class TestValidate:
         assert validate(inst) == first
 
 
+class TestFromRows:
+    """Clean rows are stored as given; every other row list becomes pairs."""
+
+    def test_clean_rows_are_stored_without_pairs(self):
+        inst = Instance.from_rows([[1, 3], [2]], p=[0.1, 0.2, 0.3])
+        assert "authorship" not in vars(inst) and inst.rows == ((1, 3), (2,))
+        assert validate(inst) == [] and inst.nnz == 3 and "authorship" not in vars(inst)
+        assert inst.authorship == ((1, 1), (1, 3), (2, 2))
+        assert inst == Instance(n=2, m=3, authorship=((2, 2), (1, 3), (1, 1)), p=(0.1, 0.2, 0.3))
+
+    @pytest.mark.parametrize(
+        "rows", [[[2, 1]], [[1, True]], [[1, 1]]], ids=["unsorted", "bool", "repeated"]
+    )
+    def test_other_rows_become_pairs(self, rows):
+        assert "authorship" in vars(Instance.from_rows(rows, p=[0.1, 0.2]))
+
+    def test_repeated_author_is_named(self):
+        inst = Instance.from_rows([[1, 1], [1]], p=[0.5])
+        assert validate(inst) == ["duplicate authorship pair (1, 1)"]
+
+    @pytest.mark.parametrize(
+        "rows, m, messages",
+        [
+            ([[1, 2]], None, ["authorship pair (1, 2) out of range", "p_1 out of [0,1]: 2.0"]),
+            ([[0, 1]], None, ["authorship pair (1, 0) out of range", "p_1 out of [0,1]: 2.0"]),
+            ([[1], []], None, ["paper 2 has no authors", "p_1 out of [0,1]: 2.0"]),
+            (
+                [[1]],
+                0,
+                ["m must be a positive integer, got 0", "authorship pair (1, 1) out of range",
+                 "paper 1 has no authors", "p has length 1, expected m=0", "p_1 out of [0,1]: 2.0"],
+            ),
+        ],
+        ids=["author-past-m", "author-zero", "empty-row", "m-zero"],
+    )
+    def test_clean_rows_name_what_their_pairs_name(self, rows, m, messages):
+        inst = Instance.from_rows(rows, p=[2.0], b=0, m=m)
+        pairs = tuple((i, j) for i, row in enumerate(rows, start=1) for j in row)
+        by_pairs = Instance(len(rows), 1 if m is None else m, pairs, (2.0,), b=0)
+        assert validate(inst) == validate(by_pairs) == [*messages, "b must be >= 1, got 0"]
+
+
 class TestAuthorLoads:
     def test_five_single_author_papers(self):
         inst = Instance.from_rows([[1]] * 5, p=[0.1])

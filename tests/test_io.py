@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from conftest import FIXTURES, random_instance
@@ -17,7 +18,13 @@ from deskrisk import (
     save_instance,
     validate,
 )
-from deskrisk.io import dumps, instance_to_dict, report_from_dict, report_to_dict
+from deskrisk.io import (
+    dumps,
+    instance_from_dict,
+    instance_to_dict,
+    report_from_dict,
+    report_to_dict,
+)
 
 
 class TestInstanceJson:
@@ -98,6 +105,24 @@ class TestInstanceJson:
         path.write_text(json.dumps(base))
         with pytest.raises(FormatError, match=f"'{field}'"):
             load_instance(path)
+
+    @pytest.mark.parametrize(
+        "papers, bad",
+        [
+            ([[1], [True]], 1),
+            ([[1], [1, 2.0]], 1),
+            ([[1.5], [1]], 0),
+            ([[1], [None], "x"], 1),
+            ([[1], (1,), [1]], 1),
+            ([[1], [1], 7], 2),
+        ],
+        ids=["bool", "float", "first-row", "none", "tuple", "int-row"],
+    )
+    def test_first_bad_row_is_named(self, papers, bad):
+        obj = {"format": 1, "n": len(papers), "m": 2, "papers": papers, "p": [0.5, 0.5]}
+        message = f"instance: papers[{bad}] must be a list of integers"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            instance_from_dict(obj)
 
     def test_invalid_json_is_reported(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,12 @@
 """Randomized invariants checked against the brute-force oracles."""
 
+import argparse
+import copy
+import pickle
+from dataclasses import replace
+
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
 from deskrisk import (
@@ -13,7 +19,10 @@ from deskrisk import (
     solve_hard,
     solve_soft,
     solve_soft_exact,
+    validate,
 )
+from deskrisk.cli import ROUTES
+from deskrisk.io import dumps, report_to_dict
 
 
 def instances():
@@ -66,3 +75,80 @@ def test_soft_chain_holds(inst, b, lam):
     assert report.lp_bound <= oracle_objective + 1e-7
     assert oracle_objective <= report.rounded_objective + 1e-7
     assert abs(exact.objective - oracle_objective) <= 1e-9
+
+
+# How a drawn row list is spoiled, if at all; "clean" rows are stored as rows.
+ROW_FAULTS = (
+    "clean", "clean", "clean", "duplicate", "unsorted", "empty-row", "author-zero",
+    "author-past-m", "bool", "numpy-int", "no-rows", "m-below-p", "m-above-p",
+)
+
+
+@st.composite
+def row_inputs(draw):
+    """``(rows, p, m, b, lam)`` for :meth:`Instance.from_rows`, clean or spoiled one way."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True).map(sorted)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    fault, at = draw(st.sampled_from(ROW_FAULTS)), draw(st.integers(0, len(rows) - 1))
+    m_given = None
+    if fault == "duplicate":
+        rows[at] = rows[at] + rows[at][-1:]
+    elif fault == "unsorted":
+        first, *rest = rows[at]
+        rows[at] = [*rest, first] if rest else [first + 1, first]
+    elif fault == "empty-row":
+        rows[at] = []
+    elif fault == "author-zero":
+        rows[at] = [0, *rows[at]]
+    elif fault == "author-past-m":
+        rows[at] = [*rows[at], m + 1]
+    elif fault == "bool":
+        rows[at] = [True, *(j for j in rows[at] if j != 1)]  # author 1 as a bool
+    elif fault == "numpy-int":
+        rows[at] = [np.int64(j) for j in rows[at]]
+    elif fault == "no-rows":
+        rows = []
+    elif fault.startswith("m-"):
+        m_given = m - 1 if fault == "m-below-p" else m + 1
+    b = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([0.1, 1.0]))
+    return rows, p, m_given, b, lam
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return "returns", call()
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+def route_bytes(instance):
+    """Each CLI solve route's report text on ``instance``, or what it raises."""
+    args = argparse.Namespace(b=None, lam=None, seed=3, cap=None)
+    return {
+        route: outcome(lambda: dumps(report_to_dict(*reversed(solve(instance, args)))))
+        for route, solve in ROUTES.items()
+    }
+
+
+@given(row_inputs())
+@settings(max_examples=150, deadline=None)
+def test_rows_match_the_pair_path(drawn):
+    rows, p, m, b, lam = drawn
+    by_rows = Instance.from_rows(rows, p, b=b, lam=lam, m=m)
+    pairs = tuple((i, j) for i, row in enumerate(rows, start=1) for j in row)
+    by_pairs = Instance(len(rows), len(p) if m is None else m, pairs, p, b, lam)
+    # Everything a solve reads first, while an instance of clean rows holds no pairs yet.
+    copies = pickle.loads(pickle.dumps(by_rows)), copy.copy(by_rows)
+    assert by_rows.nnz == by_pairs.nnz
+    assert by_rows.rows == by_pairs.rows
+    assert validate(by_rows) == validate(by_pairs)
+    assert outcome(lambda: by_rows._core) == outcome(lambda: by_pairs._core)
+    assert route_bytes(by_rows) == route_bytes(by_pairs)
+    assert by_rows.authorship == by_pairs.authorship
+    assert by_rows == by_pairs and hash(by_rows) == hash(by_pairs)
+    assert repr(by_rows) == repr(by_pairs) and replace(by_rows) == by_pairs
+    assert all(copied == by_pairs for copied in copies)
