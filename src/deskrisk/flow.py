@@ -81,7 +81,7 @@ def _slot_greedy(
     if lam is not None:
         extra = _exact(lam)
         # Two ascending runs: the sort merges them.
-        slots = sorted([*slots, *((weight + extra, author, True) for weight, author, _ in slots)])
+        slots = sorted([*slots, *[(weight + extra, author, True) for weight, author, _ in slots]])
     holder = [-1] * n
     cursor = [0] * m  # papers_of[a][:cursor[a]] stay assigned: paths unassign nothing
     reached = [0] * m

@@ -6,7 +6,7 @@ Every solver in this package consumes an :class:`Instance` and produces an
 through the evaluators in this module, never copied out of solver internals.
 
 Papers and authors are numbered starting at 1, matching the on-disk JSON
-format.  All types are immutable after construction and all functions here
+format.  The records are frozen (see :class:`_Record`) and all functions here
 are pure.  An instance builds what it derives from its fields (its rows or
 pairs, its violations, the exact core's index) once, on first use, and never
 changes it; threads that race to build one build equal values, so instances
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
@@ -42,6 +41,55 @@ class InvalidAssignmentError(ValueError):
     """Raised when an assignment does not fit its instance."""
 
 
+class _Record:
+    """A frozen record, as ``@dataclass(frozen=True)`` makes one, without importing its module
+    (nor :mod:`inspect`, which it loads): the fields are the class's own annotations, in order,
+    with its class-level defaults, and :func:`replace` stands in for ``dataclasses.replace``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__.get(name) for name in names}
+        cls._required = frozenset(name for name in names if name not in cls.__dict__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        given, names = len(args) + len(kwargs), self.__match_args__
+        kwargs.update(zip(names, args))  # fewer keys than given: too many, or one given twice
+        values = {**self._defaults, **kwargs}
+        if len(kwargs) < given or len(values) > len(names) or not kwargs.keys() >= self._required:
+            wrong = sorted(kwargs.keys() - set(names) | self._required - kwargs.keys())
+            raise TypeError(f"{type(self).__name__}{names}: each once; missing or unknown: {wrong}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    __post_init__ = object.__init__  # a record without a hook of its own calls this no-op
+
+    def _values(self) -> tuple:
+        return tuple(map(getattr, repeat(self), self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(map("{}={!r}".format, self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def replace(record: _Record, **changes: object) -> _Record:
+    """``record`` with ``changes``, built by its constructor, as ``dataclasses.replace`` does."""
+    return type(record)(**dict(zip(record.__match_args__, record._values()), **changes))
+
+
 class _CoreIndex(NamedTuple):
     """What the exact core (:mod:`.flow`) reads of a valid instance, 0-based."""
 
@@ -50,8 +98,7 @@ class _CoreIndex(NamedTuple):
     slots: tuple[tuple[int, int, bool], ...]  # each author's free slot, ascending
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A reviewer-nomination problem.
 
     Attributes:
@@ -157,8 +204,7 @@ class Instance:
         return sum(map(len, self.rows)) if pairs is None else len(pairs)
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Record):
     """One nominated reviewer per paper; ``nominee[i - 1]`` is paper ``i``'s author."""
 
     nominee: tuple[int, ...]
@@ -228,8 +274,7 @@ def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, .
     return tuple(sorted(ids)) + tuple(odd)
 
 
-@dataclass(frozen=True)
-class FractionalSolution:
+class FractionalSolution(_Record):
     """A relaxed solution: weights on incident pairs, optional overload slacks.
 
     ``x`` maps incident ``(paper, author)`` pairs to values in ``[0, 1]``;
@@ -241,8 +286,7 @@ class FractionalSolution:
     y: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Record):
     """Outcome of one solver run.
 
     ``objective == expected_rejections + penalty`` whenever a solution is
@@ -460,21 +504,13 @@ def report_for(
     limits = None if soft is None else resolve_limits(instance, *soft, soft=True)
     check_assignment(instance, assignment)
     objective = expected = _expected_rejections(instance, assignment)
-    loads = _count_loads(instance, assignment)
+    loads = tuple(_count_loads(instance, assignment))
     penalty = 0.0
     if limits is not None:
         b, lam = limits
         penalty = lam * sum(load - b for load in loads if load > b)
         objective = expected + penalty
-    return SolveReport(
-        status=SolveStatus.OPTIMAL,
-        objective=objective,
-        expected_rejections=expected,
-        penalty=penalty,
-        loads=tuple(loads),
-        solver=solver,
-        seed=seed,
-    )
+    return SolveReport(SolveStatus.OPTIMAL, objective, expected, penalty, loads, solver, seed)
 
 
 def _expected_rejections(instance: Instance, assignment: Assignment) -> float:

@@ -71,8 +71,12 @@ def _loads(path: str | Path, kind: str) -> Any:
 
     try:
         return json.loads(Path(path).read_text(), parse_constant=reject)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{kind}: invalid JSON in {path}: {exc}") from exc
+    except FormatError:
+        raise  # reject's own
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON or UTF-8, nesting too deep, or an int past the digit limit (its hint cut).
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise FormatError(f"{kind}: invalid JSON in {path}: {reason}") from exc
 
 
 def instance_to_dict(instance: Instance) -> dict[str, Any]:

@@ -22,8 +22,6 @@ HiGHS; no route imports it, so no route loads numpy or scipy.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .flow import _exact, _hall_set, _slot_prices
 from .instance import (
     Assignment,
@@ -31,6 +29,7 @@ from .instance import (
     Instance,
     SolveReport,
     SolveStatus,
+    replace,
     report_for,
     require_valid,
     resolve_limits,

@@ -16,7 +16,7 @@ A mutant is killed when its selection fails (pytest exit code 1).  The runner
 fails when an entry's ``old`` text does not occur exactly once, so a refactor
 has to port an entry rather than drop it, and when a selection passes or does
 not run.  It exits 0 only when every mutant is killed.  It uses the standard
-library and pytest only; the whole table takes under a minute on a 2-vCPU
+library and pytest only; the whole table takes under two minutes on a 2-vCPU
 machine.
 """
 
@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ONE_SEARCH = ["tests/test_oracle.py::TestOneSearch"]
 PRICE_CHECK = "tests/test_lp.py::TestPriceCheck::test_a_broken_certificate_names_its_row"
 LAZY = "tests/test_cli.py::TestLazyLoading"
+RECORDS = "tests/test_records.py"
 
 MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
@@ -335,6 +336,43 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "from .lp import solve_hard_lp, solve_soft\n"
         "from .baselines import rand_assign_hard  # noqa: F401\n",
         [f"{LAZY}::test_benchmark_routes_load_only_the_solve_path"],
+    ),
+    (
+        "record-eq-ignores-class",
+        "src/deskrisk/instance.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, _Record):\n",
+        [f"{RECORDS}::test_records_of_different_types_with_equal_fields_differ"],
+    ),
+    (
+        "record-hash-drops-a-field",
+        "src/deskrisk/instance.py",
+        "        return hash(self._values())\n",
+        "        return hash(self._values()[1:])\n",
+        [f"{RECORDS}::test_records_of_different_types_with_equal_fields_differ"],
+    ),
+    (
+        "replace-skips-post-init",
+        "src/deskrisk/instance.py",
+        "    return type(record)(**dict(zip(record.__match_args__, record._values()), **changes))\n",
+        "    new = object.__new__(type(record))\n"
+        "    new.__dict__.update(dict(zip(record.__match_args__, record._values()), **changes))\n"
+        "    return new\n",
+        [f"{RECORDS}::test_replace_runs_post_init"],
+    ),
+    (
+        "instance-imports-dataclasses",
+        "src/deskrisk/instance.py",
+        "from enum import Enum\n",
+        "from enum import Enum\n\nimport dataclasses  # noqa: F401\n",
+        [LAZY],
+    ),
+    (
+        "loader-lets-deep-nesting-through",
+        "src/deskrisk/io.py",
+        "    except (ValueError, RecursionError) as exc:\n",
+        "    except ValueError as exc:\n",
+        ["tests/test_io.py::TestLoaderFailures"],
     ),
 ]
 

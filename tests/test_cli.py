@@ -20,8 +20,8 @@ from deskrisk.cli import run_cli
 SRC = FIXTURES.parent / "src"
 
 # Imports a module, optionally runs the CLI, then prints the exit code, every
-# numpy/scipy top-level package and every deskrisk module left in sys.modules
-# to stderr, as JSON.
+# numpy/scipy top-level package, every deskrisk module and each of dataclasses
+# and inspect (slow to import) left in sys.modules to stderr, as JSON.
 IMPORT_PROBE = """
 import importlib, json, sys
 importlib.import_module(sys.argv[1])
@@ -31,7 +31,8 @@ if sys.argv[2:]:
     code = run_cli(sys.argv[2:])
 heavy = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
 own = sorted(name for name in sys.modules if name.split(".")[0] == "deskrisk")
-print(json.dumps([code, heavy, own]), file=sys.stderr)
+slow = sorted({"dataclasses", "inspect"} & set(sys.modules))
+print(json.dumps([code, heavy, own, slow]), file=sys.stderr)
 """
 
 # Reads the package's public names in the order given on the command line,
@@ -119,8 +120,8 @@ def run_probe(module, argv=()):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    code, heavy, own = json.loads(result.stderr.splitlines()[-1])
-    return code, heavy, own
+    code, heavy, own, slow = json.loads(result.stderr.splitlines()[-1])
+    return code, heavy, own, slow
 
 
 def read_report(path):
@@ -257,13 +258,16 @@ BENCHMARK_ROUTES = pytest.mark.parametrize(
 class TestLazyLoading:
     """``import deskrisk`` and every benchmark route load only the solve path.
 
-    Every other module loads with the first use of one of its names.
+    Every other module loads with the first use of one of its names.  The
+    solve path loads neither :mod:`dataclasses` nor :mod:`inspect`, which it
+    pulls in.
     """
 
     @BENCHMARK_ROUTES
     def test_benchmark_routes_load_only_the_solve_path(self, argv, tmp_path):
         argv = ["solve", str(FIXTURES / "frac_2x2.json"), *argv, "-o", str(tmp_path / "out.json")]
-        assert run_probe("deskrisk.cli", argv) == (0, [], sorted([*SOLVE_PATH, "deskrisk.cli"]))
+        expected = (0, [], sorted([*SOLVE_PATH, "deskrisk.cli"]), [])
+        assert run_probe("deskrisk.cli", argv) == expected
 
     @BENCHMARK_ROUTES
     def test_benchmark_routes_build_no_pairs(self, argv, tmp_path, monkeypatch):
@@ -281,7 +285,10 @@ class TestLazyLoading:
         assert "rows" in vars(loaded[0]) and "authorship" not in vars(loaded[0])
 
     def test_import_loads_only_the_solve_path(self):
-        assert run_probe("deskrisk") == (0, [], SOLVE_PATH)
+        assert run_probe("deskrisk") == (0, [], SOLVE_PATH, [])
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        assert run_probe("deskrisk.cli") == (0, [], sorted([*SOLVE_PATH, "deskrisk.cli"]), [])
 
     @pytest.mark.parametrize(
         ("argv", "module"),

@@ -508,7 +508,7 @@ class TestCoreIndex:
 
         exact = instance_module._exact
         monkeypatch.setattr(instance_module, "_exact", counted)
-        inst = replace(conference(42))
+        inst = instance_module.replace(conference(42))
         for _ in range(2):
             solve_hard(inst, 3)
             solve_soft_exact(inst, 4, 0.3)
@@ -521,8 +521,8 @@ class TestCoreIndex:
             inst = random_instance(rng)
             b, lam = rng.choice([1, 2, 3]), rng.choice([0.1, 1.0])
             solve_hard(inst, b)  # the copies below come after its index
-            equal = replace(inst)
-            other = replace(inst, p=tuple(rng.random() for _ in inst.p))
+            equal = instance_module.replace(inst)
+            other = instance_module.replace(inst, p=tuple(rng.random() for _ in inst.p))
             assert equal == inst and equal is not inst
             for case in (inst, equal, other):
                 assert case._core.weights == tuple(map(flow._exact, case.p))
@@ -538,8 +538,8 @@ class TestCoreIndex:
     def test_a_second_sweep_pass_repeats_the_first(self):
         # Per-call state (holders, cursors, search marks) must not outlive a solve.
         grid = sweep_grid()
-        fresh = [_sweep_reports(replace(sweep()), [point])[0] for point in grid]
-        inst = replace(sweep())
+        fresh = [_sweep_reports(instance_module.replace(sweep()), [point])[0] for point in grid]
+        inst = instance_module.replace(sweep())
         for _ in range(2):
             assert _sweep_reports(inst, grid) == fresh
         assert sum(report["status"] == "Infeasible" for report in fresh) == 2
@@ -547,12 +547,12 @@ class TestCoreIndex:
     def test_threads_solving_one_instance_agree(self):
         # Threads may race to build the index; every solve must still see a whole one.
         grid = sweep_grid()[:14]  # b = 2 and 3: both hard points are Infeasible
-        expected = _sweep_reports(replace(sweep()), grid)
+        expected = _sweep_reports(instance_module.replace(sweep()), grid)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                inst = replace(sweep())
+                inst = instance_module.replace(sweep())
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     futures = [pool.submit(_sweep_reports, inst, grid) for _ in range(4)]
                     results = [future.result(timeout=60) for future in futures]

@@ -19,6 +19,7 @@ from deskrisk import (
     validate,
 )
 from deskrisk.io import (
+    _loads,
     dumps,
     instance_from_dict,
     instance_to_dict,
@@ -231,6 +232,61 @@ class TestAssignmentAndReportJson:
     def test_dumps_is_stable(self):
         report = SolveReport(status=SolveStatus.OPTIMAL, objective=1.0, solver="x")
         assert dumps(report_to_dict(report)) == dumps(report_to_dict(report))
+
+
+# Each JSON file kind and its loader; reports have no file loader of their own.
+LOADERS = pytest.mark.parametrize(
+    "kind, load",
+    [
+        ("instance", load_instance),
+        ("assignment", load_assignment),
+        ("report", lambda path: report_from_dict(_loads(path, "report"))),
+    ],
+    ids=["instance", "assignment", "report"],
+)
+
+
+class TestLoaderFailures:
+    """Every file a loader cannot read is a ``FormatError`` that names the file."""
+
+    @LOADERS
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("1" * 4301, "Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 4301 digits"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            ("{not json", "Expecting property name enclosed in double quotes"),
+        ],
+        ids=["long-integer", "deep-nesting", "not-utf-8", "bad-json"],
+    )
+    def test_unreadable_file_is_a_format_error_naming_it(self, kind, load, text, reason, tmp_path):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(FormatError) as caught:
+            load(path)
+        message = str(caught.value)
+        assert message.startswith(f"{kind}: invalid JSON in {path}: {reason}")
+        assert "set_int_max_str_digits" not in message
+
+    @LOADERS
+    def test_non_finite_number_is_its_own_format_error(self, kind, load, tmp_path):
+        path = tmp_path / f"{kind}.json"
+        path.write_text('{"format": 1, "x": [Infinity]}')
+        with pytest.raises(FormatError) as caught:
+            load(path)
+        message = f"{kind}: non-finite number Infinity in {path} is not valid JSON"
+        assert str(caught.value) == message
+        assert caught.value.__cause__ is None
+
+    def test_cli_names_the_file_and_exits_1(self, tmp_path, capsys):
+        from deskrisk.cli import run_cli
+
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli(["validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: instance: invalid JSON in {path}: ")
 
 
 class TestCsvImport:

@@ -3,7 +3,6 @@
 import argparse
 import copy
 import pickle
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -22,6 +21,7 @@ from deskrisk import (
     validate,
 )
 from deskrisk.cli import ROUTES
+from deskrisk.instance import replace
 from deskrisk.io import dumps, report_to_dict
 
 
