@@ -7,22 +7,22 @@ through the evaluators in this module, never copied out of solver internals.
 
 Papers and authors are numbered starting at 1, matching the on-disk JSON
 format.  The records are frozen (see :class:`_Record`) and all functions here
-are pure.  An instance builds what it derives from its fields (its rows or
-pairs, its violations, the exact core's index) once, on first use, and never
-changes it; threads that race to build one build equal values, so instances
-and assignments can be shared freely across threads.  Rows are the stored
-form of an instance from :meth:`Instance.from_rows`, which the JSON loader
-uses; its pairs are derived on first read, and no solve route reads them.
+are pure.  An instance stores its papers' author lists, its rows.  What it
+derives from them (its pairs, its violations, the exact core's index) it builds
+once, on first use, and never changes; threads that race to build one build
+equal values, so instances and assignments can be shared freely across
+threads.  No solve route reads the pairs.
 """
 
 from __future__ import annotations
 
 import numbers
 import sys
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import contains, itemgetter, lt
+from operator import contains
 from typing import Iterable, Mapping, NamedTuple
 
 _NAMED_PAPERS = 100  # validate names this many papers without authors, then counts the rest
@@ -43,14 +43,17 @@ class InvalidAssignmentError(ValueError):
 
 class _Record:
     """A frozen record, as ``@dataclass(frozen=True)`` makes one, without importing its module
-    (nor :mod:`inspect`, which it loads): the fields are the class's own annotations, in order,
-    with its class-level defaults, and :func:`replace` stands in for ``dataclasses.replace``.
+    (nor :mod:`inspect`, which it loads): the fields are the base record's, then the class's own
+    annotations, in order, with its class-level defaults, and :func:`replace` stands in for
+    ``dataclasses.replace``.  A field derived on read (a ``cached_property``) has no default.
     """
 
     def __init_subclass__(cls) -> None:
-        cls.__match_args__ = names = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {name: cls.__dict__.get(name) for name in names}
-        cls._required = frozenset(name for name in names if name not in cls.__dict__)
+        own = cls.__dict__.get("__annotations__", {})
+        given = {k: v for k, v in vars(cls).items() if k in own and type(v) is not cached_property}
+        cls._defaults = {**getattr(cls, "_defaults", {}), **dict.fromkeys(own), **given}
+        cls.__match_args__ = tuple(cls._defaults)
+        cls._required = (getattr(cls, "_required", frozenset()) | own.keys()) - given.keys()
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         given, names = len(args) + len(kwargs), self.__match_args__
@@ -113,10 +116,14 @@ class Instance(_Record):
         b: optional nomination limit (max papers nominating one author).
         lam: optional penalty weight for the soft-limit objective.
 
-    A number in ``p`` or ``lam`` becomes a ``float``; a bool, numpy's
-    included, or a value that is no number or too large for a float stays
-    as given, for :func:`validate` to name.  An instance from :meth:`from_rows`
-    stores its rows and derives ``authorship`` from them on first read.
+    The constructor groups the pairs into ``rows``, the stored form, once:
+    ``rows[i - 1]`` is paper ``i``'s authors, ascending, repeats kept.  The
+    rows stop at paper ``n``, or ``_NAMED_PAPERS`` papers past the pairs'
+    count if that is sooner, so a huge ``n`` allocates nothing per paper.
+    The other pairs are stray: those of papers outside the rows, and those
+    with an id that is no integer.  A numpy integer becomes an ``int``, and a
+    number in ``p`` or ``lam`` a ``float``; anything else, a bool included,
+    stays as given, for :func:`validate` to name.
     """
 
     n: int
@@ -130,7 +137,8 @@ class Instance(_Record):
         # numpy's integers become ints; anything else stays, for validate to name.
         for name in ("n", "m", "b"):
             object.__setattr__(self, name, _integer(getattr(self, name)))
-        object.__setattr__(self, "authorship", _sorted_pairs(self.authorship))
+        rows, strays = _grouped(self.__dict__.pop("authorship"), self.n)
+        self.__dict__.update(rows=rows, _strays=strays)
         object.__setattr__(self, "p", tuple(v if type(v) is float else _number(v) for v in self.p))
         object.__setattr__(self, "lam", _number(self.lam))
 
@@ -145,39 +153,23 @@ class Instance(_Record):
     ) -> "Instance":
         """Build an instance from per-paper author lists.
 
-        ``m`` defaults to ``len(p)``.  Clean rows (every entry an ``int``, each
-        row strictly ascending) become the stored ``rows``, and ``authorship``
-        is derived from them on first read, so ``==``, ``hash`` and pickling see
-        the same fields.  Other rows (a bool, a numpy integer, an unsorted or
-        repeated author) become pairs, as :class:`Instance` takes them.
+        ``m`` defaults to ``len(p)``.  Rows that pass :func:`_valid_rows` are
+        stored as given, with nothing in them for :func:`validate` to name;
+        other rows are grouped as the constructor groups their pairs.
         """
-        rows = tuple(map(tuple, papers))
-        p = tuple(p)
-        m = len(p) if m is None else m
-        clean = _clean(rows)
-        instance = cls(len(rows), m, () if clean else _pairs(rows), p, b, lam)
-        if clean:  # no pairs until something reads them (see __getattr__)
-            del instance.__dict__["authorship"]
-            instance.__dict__.update(rows=rows, _clean_rows=True)
+        rows, p = tuple(map(tuple, papers)), tuple(p)
+        instance = cls(len(rows), len(p) if m is None else m, (), p, b, lam)
+        if not _valid_rows(rows, instance.m):
+            return cls(len(rows), instance.m, _pairs(rows), p, b, lam)
+        instance.__dict__["rows"] = rows
+        instance.__dict__["_violations"] = tuple(_find_violations(instance, rows_valid=True))
         return instance
 
-    def __getattr__(self, name: str) -> object:
-        """``authorship`` of an instance built from clean rows, derived and kept on first read."""
-        if name != "authorship" or not self.__dict__.get("_clean_rows"):
-            raise AttributeError(name)
-        object.__setattr__(self, name, _pairs(self.rows))
-        return self.__dict__[name]
-
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """Authors of each paper, ascending; ``rows[i - 1]`` belongs to paper ``i``."""
-        # A count that is not an int gives no rows, as n = 0 does.
-        n = self.n if type(self.n) is int else 0
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.authorship:
-            if type(i) is int and 1 <= i <= n:
-                out[i - 1].append(j)
-        return tuple(tuple(row) for row in out)
+    def authorship(self) -> tuple[tuple, ...]:
+        """The stray pairs before the rows, the rows' pairs, then the stray pairs after them."""
+        before, after = self._strays
+        return before + _pairs(self.rows) + after
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -200,8 +192,7 @@ class Instance(_Record):
 
     @property
     def nnz(self) -> int:
-        pairs = self.__dict__.get("authorship")
-        return sum(map(len, self.rows)) if pairs is None else len(pairs)
+        return sum(map(len, self.rows)) + sum(map(len, self._strays))
 
 
 class Assignment(_Record):
@@ -248,10 +239,19 @@ def _number(value: object) -> object:
         return value
 
 
-def _clean(rows: tuple[tuple, ...]) -> bool:
-    """Every entry an ``int`` and every row strictly ascending, checked at C speed."""
-    ascending = map(all, map(map, repeat(lt), rows, map(itemgetter(slice(1, None)), rows)))
-    return set(map(type, chain.from_iterable(rows))) <= {int} and all(ascending)
+def _valid_rows(rows: tuple[tuple, ...], m: object) -> bool:
+    """Each row non-empty, its entries ints strictly ascending within ``1..m``: the load's pass."""
+    if type(m) is not int:
+        return False
+    for row in rows:
+        last = 0  # the first author is at least 1
+        for j in row:
+            if type(j) is not int or not last < j <= m:
+                return False
+            last = j
+        if not last:
+            return False
+    return True
 
 
 def _pairs(rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
@@ -259,10 +259,11 @@ def _pairs(rows: tuple[tuple, ...]) -> tuple[tuple, ...]:
     return tuple((i, j) for i, row in enumerate(rows, start=1) for j in row)
 
 
-def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, ...]:
-    """The pairs of integer ids, sorted, then every other pair as given.
+def _grouped(authorship: Iterable[tuple[object, object]], n: object) -> tuple[tuple, tuple]:
+    """The rows of ``authorship`` and its stray pairs before and after them; see :class:`Instance`.
 
-    Sorting a pair that holds anything else with them could raise; validate names it.
+    The pairs of integer ids are sorted; any other pair, which could not be sorted with them,
+    follows them as given.
     """
     ids, odd = [], []
     for i, j in authorship:
@@ -271,7 +272,14 @@ def _sorted_pairs(authorship: Iterable[tuple[object, object]]) -> tuple[tuple, .
         if type(j) is not int:
             j = _integer(j)
         (ids if type(i) is int is type(j) else odd).append((i, j))
-    return tuple(sorted(ids)) + tuple(odd)
+    ids.sort()
+    # A count that is not an int gives no rows, as n = 0 does.
+    kept = max(0, min(n, len(ids) + _NAMED_PAPERS)) if type(n) is int else 0
+    low, high = bisect_left(ids, (1,)), bisect_left(ids, (kept + 1,))
+    rows: list[list[int]] = [[] for _ in range(kept)]
+    for i, j in ids[low:high]:
+        rows[i - 1].append(j)
+    return tuple(map(tuple, rows)), (tuple(ids[:low]), tuple(ids[high:] + odd))
 
 
 class FractionalSolution(_Record):
@@ -321,23 +329,20 @@ def validate(instance: Instance) -> list[str]:
     return list(instance._violations)
 
 
-def _find_violations(instance: Instance) -> list[str]:
+def _find_violations(instance: Instance, rows_valid: bool = False) -> list[str]:
     n_problem, m_problem = _count_problem("n", instance.n), _count_problem("m", instance.m)
     violations = [problem for problem in (n_problem, m_problem) if problem]
     # A count that is not one gives an empty range, as n = 0 does.
     n = 0 if n_problem else instance.n
     m = 0 if m_problem else instance.m
-    # Clean rows (see Instance.from_rows) break nothing the loop below names when
-    # every row has an author, its first at least 1 and its last at most m.
-    rows = instance.rows if instance.__dict__.get("_clean_rows") else ()
-    first, last = map(itemgetter(0), rows), map(itemgetter(-1), rows)
-    if not (rows and all(rows) and min(first) >= 1 and max(last) <= m):
-        # The authorship is sorted, so equal pairs are adjacent, and the runs of
-        # papers the pairs skip have no authors: no flag per paper, for a huge n.
+    if not rows_valid:  # rows that passed the load's pass (see _valid_rows) break nothing here
+        # One loop over the rows and the stray pairs in authorship order: equal pairs are
+        # adjacent, and the papers the pairs skip have no authors, so nothing is kept per paper.
+        before, after = instance._strays
         previous = None
         uncovered: list[range] = []
         unseen = 1  # the first paper no pair has named yet
-        for pair in instance.authorship:
+        for pair in chain(before, _pairs(instance.rows), after):
             i, j = pair
             if not type(i) is int is type(j):
                 violations.append(f"authorship pair ({_shown(i)}, {_shown(j)}) must hold integers")
@@ -449,11 +454,12 @@ def check_assignment(instance: Instance, assignment: Assignment) -> None:
         raise InvalidAssignmentError(
             f"assignment has {len(assignment.nominee)} nominees, expected n={instance.n}"
         )
-    # One pass at C speed; the loop below only names the first fault it found.
+    # One pass at C speed; the loop below only names the first fault it found.  The rows
+    # stop short of n only on an instance that cannot be valid: a paper past them has none.
     nominee, rows = assignment.nominee, instance.rows
-    if set(map(type, nominee)) <= {int} and all(map(contains, rows, nominee)):
+    if set(map(type, nominee)) <= {int} and all(map(contains, chain(rows, repeat(())), nominee)):
         return
-    for i, (row, j) in enumerate(zip(rows, nominee), start=1):
+    for i, (row, j) in enumerate(zip(chain(rows, repeat(())), nominee), start=1):
         if type(j) is not int or j not in row:
             raise InvalidAssignmentError(f"paper {i} nominates non-author {j!r}")
 

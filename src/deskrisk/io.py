@@ -201,8 +201,17 @@ def dumps(obj: dict[str, Any]) -> str:
     """Canonical JSON text: two-space indent, insertion key order, newline at end.
 
     Raises ``ValueError`` on a NaN or infinite float, which strict JSON cannot hold.
+    The text is ``json.dumps(obj, indent=2, allow_nan=False)``'s, for string keys;
+    a value that is a non-empty list of ints (no bools) is written here, since
+    :mod:`json` writes indented text with its pure-Python encoder.
     """
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    def text(value: Any) -> str:
+        if type(value) is list and value and set(map(type, value)) <= {int}:
+            return "[\n    " + ",\n    ".join(map(int.__repr__, value)) + "\n  ]"
+        return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+    items = [f"  {json.dumps(key)}: {text(value)}" for key, value in obj.items()]
+    return "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n"
 
 
 def load_instance_csv(

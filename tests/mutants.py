@@ -16,7 +16,7 @@ A mutant is killed when its selection fails (pytest exit code 1).  The runner
 fails when an entry's ``old`` text does not occur exactly once, so a refactor
 has to port an entry rather than drop it, and when a selection passes or does
 not run.  It exits 0 only when every mutant is killed.  It uses the standard
-library and pytest only; the whole table takes under two minutes on a 2-vCPU
+library and pytest only; the whole table takes about two minutes on a 2-vCPU
 machine.
 """
 
@@ -36,6 +36,7 @@ ONE_SEARCH = ["tests/test_oracle.py::TestOneSearch"]
 PRICE_CHECK = "tests/test_lp.py::TestPriceCheck::test_a_broken_certificate_names_its_row"
 LAZY = "tests/test_cli.py::TestLazyLoading"
 RECORDS = "tests/test_records.py"
+FROM_ROWS = "tests/test_instance.py::TestFromRows"
 
 MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
@@ -104,24 +105,44 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
     (
         "assignment-check-takes-an-integral-float",
         "src/deskrisk/instance.py",
-        "    if set(map(type, nominee)) <= {int} and all(map(contains, rows, nominee)):\n",
-        "    if all(map(contains, rows, nominee)):\n",
+        "    if set(map(type, nominee)) <= {int} and all(map(contains,",
+        "    if all(map(contains,",
         ["tests/test_instance.py::TestAuthorLoads::test_non_integer_nominee_rejected[integral-float]"],
     ),
     (
-        # Every entry is an int when the comparison runs, so int.__le__ is <=.
         "from-rows-keeps-rows-with-a-repeated-author",
         "src/deskrisk/instance.py",
-        "map(map, repeat(lt), rows,",
-        "map(map, repeat(int.__le__), rows,",
+        "            if type(j) is not int or not last < j <= m:\n",
+        "            if type(j) is not int or not last <= j <= m:\n",
         ["tests/test_instance.py::TestFromRows::test_repeated_author_is_named"],
     ),
     (
         "clean-rows-validation-skips-the-author-bound",
         "src/deskrisk/instance.py",
-        " and max(last) <= m):\n",
-        "):\n",
+        "not last < j <= m:",
+        "not last < j:",
         ["tests/test_instance.py::TestFromRows::test_clean_rows_name_what_their_pairs_name"],
+    ),
+    (
+        "load-pass-takes-author-zero",
+        "src/deskrisk/instance.py",
+        "        last = 0  # the first author is at least 1\n",
+        "        last = -1  # the first author is at least 1\n",
+        [f"{FROM_ROWS}::test_clean_rows_name_what_their_pairs_name[author-zero]"],
+    ),
+    (
+        "load-pass-keeps-unsorted-rows",
+        "src/deskrisk/instance.py",
+        "not last < j <= m:",
+        "not 0 < j <= m:",
+        [f"{FROM_ROWS}::test_other_rows_are_grouped[unsorted]"],
+    ),
+    (
+        "stray-pairs-below-the-rows-follow-them",
+        "src/deskrisk/instance.py",
+        "(tuple(ids[:low]), tuple(ids[high:] + odd))",
+        "((), tuple(ids[:low] + ids[high:] + odd))",
+        ["tests/test_instance.py::TestValidate::test_stray_pairs_are_named_in_sorted_order"],
     ),
     (
         "report-loads-unchecked",
@@ -366,6 +387,20 @@ MUTANTS: list[tuple[str, str, str, str, list[str]]] = [
         "from enum import Enum\n",
         "from enum import Enum\n\nimport dataclasses  # noqa: F401\n",
         [LAZY],
+    ),
+    (
+        "dumps-fast-path-takes-bools",
+        "src/deskrisk/io.py",
+        "set(map(type, value)) <= {int}:",
+        "set(map(type, value)) <= {int, bool}:",
+        ["tests/test_io.py::TestAssignmentAndReportJson::test_dumps_writes_what_json_writes"],
+    ),
+    (
+        "record-subclass-drops-base-fields",
+        "src/deskrisk/instance.py",
+        '{**getattr(cls, "_defaults", {}), **dict.fromkeys(own), **given}',
+        "{**dict.fromkeys(own), **given}",
+        [f"{RECORDS}::test_positional_arguments_fill_the_fields_in_order"],
     ),
     (
         "loader-lets-deep-nesting-through",

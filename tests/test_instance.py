@@ -195,6 +195,36 @@ class TestValidate:
             "paper 5 has no authors",
         ]
 
+    def test_stray_pairs_are_named_in_sorted_order(self):
+        # Sorted pairs with a paper below 1, the rows, sorted pairs with a paper
+        # past n, then every pair that holds a non-integer, as given.
+        pairs = ((3, 1), (1, "x"), (0, 2), (2, 2), (-1, 1), (1, 1), (2.5, 1), (4, 1))
+        inst = Instance(n=2, m=2, authorship=pairs, p=(0.1, 0.2))
+        assert inst.rows == ((1,), (2,))
+        assert inst.authorship == ((-1, 1), (0, 2), (1, 1), (2, 2), (3, 1), (4, 1), (1, "x"),
+                                   (2.5, 1))
+        assert validate(inst) == [
+            "authorship pair (-1, 1) out of range",
+            "authorship pair (0, 2) out of range",
+            "authorship pair (3, 1) out of range",
+            "authorship pair (4, 1) out of range",
+            "authorship pair (1, 'x') must hold integers",
+            "authorship pair (2.5, 1) must hold integers",
+        ]
+
+    def test_papers_far_past_the_pairs_keep_no_rows(self):
+        # Rows stop 100 papers past the 3 pairs; the pairs past them are stray
+        # and named as if they had rows, and a paper past them takes no nominee.
+        inst = Instance(n=300, m=1, authorship=((250, 1), (1, 1), (250, 1)), p=(0.5,))
+        assert len(inst.rows) == 103 and inst.nnz == 3
+        assert inst.authorship == ((1, 1), (250, 1), (250, 1))
+        named = [f"paper {i} has no authors" for i in range(2, 102)]
+        assert validate(inst) == [
+            "duplicate authorship pair (250, 1)", *named, "… and 198 more papers have no authors"
+        ]
+        with pytest.raises(InvalidAssignmentError, match="^paper 2 nominates non-author 1$"):
+            author_loads(inst, Assignment(nominee=(1,) * 300))
+
     def test_numpy_integer_counts_and_limit_are_ints(self):
         np = pytest.importorskip("numpy")
         one = np.int64(1)
@@ -221,7 +251,7 @@ class TestValidate:
 
 
 class TestFromRows:
-    """Clean rows are stored as given; every other row list becomes pairs."""
+    """Rows that pass the load's pass are stored as given; others are grouped as pairs are."""
 
     def test_clean_rows_are_stored_without_pairs(self):
         inst = Instance.from_rows([[1, 3], [2]], p=[0.1, 0.2, 0.3])
@@ -231,10 +261,19 @@ class TestFromRows:
         assert inst == Instance(n=2, m=3, authorship=((2, 2), (1, 3), (1, 1)), p=(0.1, 0.2, 0.3))
 
     @pytest.mark.parametrize(
-        "rows", [[[2, 1]], [[1, True]], [[1, 1]]], ids=["unsorted", "bool", "repeated"]
+        "rows, kept, pairs",
+        [
+            ([[2, 1]], ((1, 2),), ((1, 1), (1, 2))),
+            ([[1, True]], ((1,),), ((1, 1), (1, True))),
+            ([[1, 1]], ((1, 1),), ((1, 1), (1, 1))),
+        ],
+        ids=["unsorted", "bool", "repeated"],
     )
-    def test_other_rows_become_pairs(self, rows):
-        assert "authorship" in vars(Instance.from_rows(rows, p=[0.1, 0.2]))
+    def test_other_rows_are_grouped(self, rows, kept, pairs):
+        # Sorted, a repeated author kept and a bool moved to the stray pairs, still without pairs.
+        inst = Instance.from_rows(rows, p=[0.1, 0.2])
+        assert inst.rows == kept and "authorship" not in vars(inst)
+        assert inst.authorship == pairs and inst.nnz == len(pairs)
 
     def test_repeated_author_is_named(self):
         inst = Instance.from_rows([[1, 1], [1]], p=[0.5])

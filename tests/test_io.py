@@ -2,8 +2,10 @@ import json
 import random
 import re
 
+import hypothesis.strategies as st
 import pytest
 from conftest import FIXTURES, random_instance
+from hypothesis import example, given, settings
 
 from deskrisk import (
     Assignment,
@@ -152,6 +154,21 @@ class TestInstanceJson:
         assert validate(inst) == [f"{message} {huge}"]
 
 
+# What report and instance files hold: ints (big ones too), floats, bools, null and
+# text (non-ASCII too), lists of ints with and without bools, nested and empty lists.
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+)
+JSON_VALUES = (
+    JSON_SCALARS
+    | st.lists(st.integers() | st.integers(max_value=-(2**70)), max_size=6)
+    | st.lists(st.integers() | st.booleans(), max_size=4)
+    | st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+)
+
+
 class TestAssignmentAndReportJson:
     def test_assignment_round_trip(self, tmp_path):
         assignment = Assignment(nominee=(2, 1, 3))
@@ -232,6 +249,19 @@ class TestAssignmentAndReportJson:
     def test_dumps_is_stable(self):
         report = SolveReport(status=SolveStatus.OPTIMAL, objective=1.0, solver="x")
         assert dumps(report_to_dict(report)) == dumps(report_to_dict(report))
+
+    @given(st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=6))
+    @example({"loads": [0, True], "nominee": [1, 2], "é": [[1, 2]], "gap": []})
+    @settings(max_examples=200, deadline=None)
+    def test_dumps_writes_what_json_writes(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj", [{"nominee": [1, float("nan")]}, {"loads": [1, 2], "objective": float("nan")}]
+    )
+    def test_dumps_refuses_nan_beside_integer_lists(self, obj):
+        with pytest.raises(ValueError):
+            dumps(obj)
 
 
 # Each JSON file kind and its loader; reports have no file loader of their own.

@@ -2,12 +2,15 @@
 
 Each record type is compared, over drawn field values, with a reference
 ``@dataclass(frozen=True)`` of the same name and fields, written out here,
-that runs the record's own ``__post_init__``.
+that runs the record's own ``__post_init__`` and derives what the record
+derives on read (an instance's ``authorship``).  Subclasses, with and
+without fields of their own, are compared the same way.
 """
 
 import copy
 import dataclasses
 import pickle
+from functools import cached_property
 
 import hypothesis.strategies as st
 import pytest
@@ -15,6 +18,27 @@ from hypothesis import given, settings
 
 from deskrisk import Assignment, FractionalSolution, Instance, SolveReport, SolveStatus
 from deskrisk.instance import _Record, replace
+
+
+class Conference(Instance):
+    """An instance type with no fields of its own."""
+
+
+class Capped(Instance):
+    """An instance type that gives an inherited field a default of its own."""
+
+    b: int | None = 2
+
+
+class Labelled(FractionalSolution):
+    """A solution type with a field of its own."""
+
+    label: str = ""
+
+
+class Nominees(Assignment):
+    """An assignment type with no fields of its own."""
+
 
 # Each record type's fields in order: a name alone, or (name, default).
 FIELDS = {
@@ -27,6 +51,10 @@ FIELDS = {
         ("rounded_objective", None), ("gap", None), ("integral", None),
     ],
 }
+FIELDS[Conference] = FIELDS[Instance]
+FIELDS[Capped] = [*FIELDS[Instance][:4], ("b", 2), ("lam", None)]
+FIELDS[Labelled] = [*FIELDS[FractionalSolution], ("label", "")]
+FIELDS[Nominees] = FIELDS[Assignment]
 
 
 def reference(record_type):
@@ -36,9 +64,11 @@ def reference(record_type):
         for field in FIELDS[record_type]
     ]
     namespace = {"__post_init__": record_type.__post_init__}
-    return dataclasses.make_dataclass(
-        record_type.__name__, fields, frozen=True, namespace=namespace
-    )
+    ref = dataclasses.make_dataclass(record_type.__name__, fields, frozen=True, namespace=namespace)
+    for name in ref.__match_args__:  # derived on read, after the dataclass took its defaults
+        if isinstance(getattr(record_type, name, None), cached_property):
+            setattr(ref, name, getattr(record_type, name))
+    return ref
 
 
 REFERENCES = {record_type: reference(record_type) for record_type in FIELDS}
@@ -70,6 +100,14 @@ VALUES = {
         },
     ),
 }
+VALUES[Conference], VALUES[Nominees] = VALUES[Instance], VALUES[Assignment]
+VALUES[Capped] = VALUES[Instance].flatmap(
+    lambda values: st.sampled_from([values, {k: v for k, v in values.items() if k != "b"}])
+)
+VALUES[Labelled] = st.fixed_dictionaries(
+    {"x": st.dictionaries(st.tuples(ids, ids), st.floats(0.0, 1.0), max_size=4)},
+    optional={"y": st.none() | st.tuples(st.floats(0.0, 4.0)), "label": st.text(max_size=4)},
+)
 
 RECORD_TYPES = pytest.mark.parametrize("record_type", list(FIELDS), ids=lambda t: t.__name__)
 
@@ -107,9 +145,10 @@ def test_eq_hash_and_repr_match_the_dataclass(record_type, data):
 def test_copies_and_replace_match_the_dataclass(record_type, data):
     values = data.draw(VALUES[record_type])
     record, ref = both(record_type, values)
-    for copied in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
-        assert type(copied) is record_type and vars(copied) == vars(record)
-        assert repr(copied) == repr(record)
+    copies = pickle.loads(pickle.dumps(record)), copy.copy(record)
+    # Before repr reads, and so derives, an instance's authorship on one of them.
+    assert all(type(copied) is record_type and vars(copied) == vars(record) for copied in copies)
+    assert all(repr(copied) == repr(record) for copied in copies)
     assert vars(copy.copy(ref)) == vars(ref)
     changed = data.draw(VALUES[record_type])
     changes = {name: changed[name] for name in data.draw(st.sets(st.sampled_from(list(changed))))}
@@ -158,6 +197,8 @@ def test_positional_arguments_fill_the_fields_in_order():
         n=2, m=2, authorship=((1, 2), (2, 1)), p=(0.5, 0.25), b=1, lam=None
     )
     assert repr(FractionalSolution({(1, 1): 1.0})) == "FractionalSolution(x={(1, 1): 1.0}, y=None)"
+    assert repr(Nominees((1, 2))) == "Nominees(nominee=(1, 2))"
+    assert repr(Labelled({}, None, "a")) == "Labelled(x={}, y=None, label='a')"
 
 
 def test_replace_runs_post_init():
@@ -183,6 +224,7 @@ def test_copies_keep_what_the_instance_cached():
     copies = pickle.loads(pickle.dumps(inst)), copy.copy(inst)
     for copied in copies:
         assert vars(copied) == vars(inst)
-        assert list(vars(copied)) == ["n", "m", "p", "b", "lam", "rows", "_clean_rows", "_core",
-                                      "_violations"]
+        assert list(vars(copied)) == ["n", "m", "p", "b", "lam", "rows", "_strays", "_violations",
+                                      "_core"]
     assert all(copied == inst for copied in copies)  # == reads, and so derives, the pairs
+    assert "authorship" in vars(inst)
